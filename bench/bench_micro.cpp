@@ -1,11 +1,13 @@
 // M1 — micro-benchmarks (google-benchmark) for the building blocks whose
-// costs drive every experiment: Steim1 codec, mount (extract+transform),
-// hash join, aggregation, expression evaluation, metadata scan.
+// costs drive every experiment: Steim1 codec, mount transform and
+// select-mount, hash join, aggregation, expression evaluation, metadata
+// scan.
 
 #include <benchmark/benchmark.h>
 
 #include "core/seismic_schema.h"
 #include "engine/executor.h"
+#include "engine/kernel.h"
 #include "io/file_io.h"
 #include "mseed/generator.h"
 #include "mseed/reader.h"
@@ -61,20 +63,66 @@ void BM_Steim2Decode(benchmark::State& state) {
 }
 BENCHMARK(BM_Steim2Decode)->Arg(86400);
 
+// One day at 1 Hz in four records, as the repository generator lays it out.
+std::vector<mseed::DecodedRecord> DecodedDay() {
+  std::vector<mseed::DecodedRecord> records(4);
+  for (size_t r = 0; r < records.size(); ++r) {
+    records[r].samples = mseed::SynthesizeWaveform(7 + r, 21600, true);
+    records[r].header.sample_rate_hz = 1.0;
+    records[r].header.start_time_ms = static_cast<int64_t>(r) * 21600 * 1000;
+  }
+  return records;
+}
+
 void BM_MountTransform(benchmark::State& state) {
-  // Extract+transform one decoded record into D-schema columns.
-  mseed::DecodedRecord rec;
-  rec.samples = Waveform(static_cast<size_t>(state.range(0)));
-  rec.header.sample_rate_hz = 1.0;
-  rec.header.start_time_ms = 0;
+  // Transform one decoded 86 400-sample file into D-schema columns.
+  const std::vector<mseed::DecodedRecord> records = DecodedDay();
   for (auto _ : state) {
     Table table("D", MakeDataSchema());
     benchmark::DoNotOptimize(
-        AppendSamplesToDataTable("/repo/f.mseed", 0, rec, &table));
+        AppendFileToDataTable("/repo/f.mseed", records, &table));
+    benchmark::DoNotOptimize(table.column(3)->data_f64());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() * 86400);
 }
-BENCHMARK(BM_MountTransform)->Arg(86400);
+BENCHMARK(BM_MountTransform);
+
+void BM_SelectMount(benchmark::State& state) {
+  // The combined select-mount after decode: transform the file, select a
+  // one-hour window and gather the survivors, as Mounter::Mount does.
+  // range(0) = 1 runs the selection kernels, 0 the expression interpreter.
+  const std::vector<mseed::DecodedRecord> records = DecodedDay();
+  const SchemaPtr schema = MakeDataSchema();
+  const ExprPtr window = Expr::And(
+      Expr::Compare(CompareOp::kGe, Expr::ColumnRef("sample_time"),
+                    Expr::Lit(Value::Timestamp(10 * 3600 * 1000))),
+      Expr::Compare(CompareOp::kLt, Expr::ColumnRef("sample_time"),
+                    Expr::Lit(Value::Timestamp(11 * 3600 * 1000))));
+  const ExprPtr bound = *window->Bind(*schema);
+  const kernel::PredicateSelector selector(bound, *schema, state.range(0) != 0);
+  for (auto _ : state) {
+    Table table("D", schema);
+    benchmark::DoNotOptimize(
+        AppendFileToDataTable("/repo/f.mseed", records, &table));
+    Batch all;
+    all.schema = schema;
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      all.columns.push_back(table.column(c));
+    }
+    std::vector<uint32_t> selected;
+    benchmark::DoNotOptimize(selector.Select(&all, &selected));
+    Table filtered("D", schema);
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      filtered.mutable_column(c)->AppendGather(*table.column(c), selected);
+    }
+    benchmark::DoNotOptimize(filtered.CommitAppendedRows(selected.size()));
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(state.range(0) != 0 ? "kernels" : "interpreter");
+  state.SetItemsProcessed(state.iterations() * 86400);
+}
+BENCHMARK(BM_SelectMount)->Arg(0)->Arg(1);
 
 TablePtr MakeProbeTable(size_t rows, size_t distinct_keys) {
   auto schema = std::make_shared<Schema>(

@@ -46,10 +46,7 @@ Result<EagerLoadStats> EagerLoader::LoadAll(const mseed::ScanResult& scan,
     DEX_RETURN_NOT_OK(registry->ChargeFileRead(file.uri));
     DEX_ASSIGN_OR_RETURN(std::vector<mseed::DecodedRecord> records,
                          format->ReadAllRecords(file.uri));
-    for (size_t i = 0; i < records.size(); ++i) {
-      DEX_RETURN_NOT_OK(AppendSamplesToDataTable(
-          file.uri, static_cast<int64_t>(i), records[i], d_table.get()));
-    }
+    DEX_RETURN_NOT_OK(AppendFileToDataTable(file.uri, records, d_table.get()));
   }
   stats.rows_loaded = d_table->num_rows();
   DEX_RETURN_NOT_OK(catalog->AddTable(d_table, TableKind::kActual));

@@ -194,10 +194,9 @@ Result<TablePtr> Mounter::Mount(const std::string& table_name,
   // budget and the sharded gather's network charge, both under the
   // pruning-cannot-move-the-ledger contract.
   table->mutable_column(0)->dict()->Intern(uri);
+  DEX_RETURN_NOT_OK(AppendFileToDataTable(uri, decoded, table.get()));
   for (size_t i = 0; i < decoded.size(); ++i) {
     const mseed::DecodedRecord& rec = decoded[i];
-    DEX_RETURN_NOT_OK(AppendSamplesToDataTable(uri, static_cast<int64_t>(i), rec,
-                                               table.get()));
     if (outcome != nullptr) {
       if (!rec.sparse || !rec.samples.empty()) {
         outcome->counters.records_decoded += 1;  // zone-skipped don't count
@@ -241,23 +240,25 @@ Result<TablePtr> Mounter::Mount(const std::string& table_name,
   span.AddArg("bytes", entry.size_bytes);
 
   // Combined select-mount: apply the fused selection before handing the
-  // partial table to the plan.
+  // partial table to the plan, through the same predicate → selection path
+  // as FilterOp (kernels unless the query turned them off).
   TablePtr out = table;
-  std::string predicate_repr;
   if (fused_predicate != nullptr) {
-    predicate_repr = fused_predicate->ToString();
     DEX_ASSIGN_OR_RETURN(ExprPtr bound, fused_predicate->Bind(*table->schema()));
+    const kernel::PredicateSelector selector(
+        std::move(bound), *table->schema(),
+        pruning == nullptr || pruning->use_simd_kernels);
     Batch all;
     all.schema = table->schema();
     for (size_t c = 0; c < table->num_columns(); ++c) {
       all.columns.push_back(table->column(c));
     }
-    DEX_ASSIGN_OR_RETURN(ColumnPtr mask, bound->Evaluate(all));
     std::vector<uint32_t> selected;
-    const int64_t* bits = mask->data_i64();
-    for (size_t i = 0; i < table->num_rows(); ++i) {
-      if (bits[i] != 0) selected.push_back(static_cast<uint32_t>(i));
-    }
+    DEX_RETURN_NOT_OK(selector.Select(&all, &selected));
+    // Always a gathered copy, even when every row passes: the copy shares
+    // `table`'s uri dictionary and Table::ByteSize splits a shared
+    // dictionary between its holders, so handing out `table` itself would
+    // change what the cache and the memory budget charge.
     auto filtered = std::make_shared<Table>(table_name, table->schema());
     for (size_t c = 0; c < table->num_columns(); ++c) {
       filtered->mutable_column(c)->AppendGather(*table->column(c), selected);
@@ -281,6 +282,8 @@ Result<TablePtr> Mounter::Mount(const std::string& table_name,
       cache_->Insert(uri, "", mtime, table);
     } else {
       const CachedWindow window = SummarizeTimeWindow(fused_predicate);
+      const std::string predicate_repr =
+          fused_predicate != nullptr ? fused_predicate->ToString() : "";
       cache_->Insert(uri, predicate_repr, mtime, out, &window);
     }
   }

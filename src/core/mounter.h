@@ -172,7 +172,9 @@ class Mounter {
   /// returned tuples (the fused selection still runs on whatever was
   /// decoded, and zone-skipped data could not have satisfied it) — only the
   /// CPU spent decoding. Charged simulated I/O is unchanged: the whole file
-  /// is read either way.
+  /// is read either way. `pruning->use_simd_kernels` picks the selection
+  /// kernels or the expression interpreter for the fused selection (null
+  /// `pruning`: kernels); both keep the same tuples.
   Result<TablePtr> Mount(const std::string& table_name, const std::string& uri,
                          const ExprPtr& fused_predicate,
                          MountOutcome* outcome = nullptr,

@@ -1,5 +1,7 @@
 #include "core/seismic_schema.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "mseed/reader.h"
 
@@ -108,30 +110,44 @@ mseed::ScanResult ScanResultFromTables(const Table& f_table,
   return out;
 }
 
-Status AppendSamplesToDataTable(const std::string& uri, int64_t record_id,
-                                const mseed::DecodedRecord& record,
-                                Table* data_table) {
+Status AppendFileToDataTable(const std::string& uri,
+                             const std::vector<mseed::DecodedRecord>& records,
+                             Table* data_table) {
   DEX_CHECK(data_table != nullptr);
-  const size_t n = record.samples.size();
-  Column* uri_col = data_table->mutable_column(0);
-  Column* rec_col = data_table->mutable_column(1);
-  Column* time_col = data_table->mutable_column(2);
-  Column* value_col = data_table->mutable_column(3);
-  // No exact-size Reserve here: repeated exact reservations defeat the
-  // vectors' geometric growth and turn bulk loads quadratic.
-  const double rate = record.header.sample_rate_hz;
-  const int64_t t0 = record.header.start_time_ms;
-  for (size_t i = 0; i < n; ++i) {
-    // A sparsely decoded record (zone-map frame skip) carries the original
-    // sample index alongside each value, so sample_time stays exact.
-    const size_t idx = record.sparse ? record.sample_index[i] : i;
-    uri_col->AppendString(uri);
-    rec_col->AppendInt64(record_id);
-    time_col->AppendInt64(
-        t0 + static_cast<int64_t>(static_cast<double>(idx) * 1000.0 / rate));
-    value_col->AppendDouble(static_cast<double>(record.samples[i]));
+  size_t total = 0;
+  for (const mseed::DecodedRecord& rec : records) total += rec.samples.size();
+  // One growth per column per file. The columns grow geometrically, so Ei's
+  // many-file loads into one table stay linear; an exact reserve per call
+  // would defeat that and turn them quadratic.
+  data_table->mutable_column(0)->AppendStringRun(uri, total);
+  int64_t* record_ids = data_table->mutable_column(1)->AppendInt64Slots(total);
+  int64_t* times = data_table->mutable_column(2)->AppendInt64Slots(total);
+  double* values = data_table->mutable_column(3)->AppendDoubleSlots(total);
+  for (size_t r = 0; r < records.size(); ++r) {
+    const mseed::DecodedRecord& rec = records[r];
+    const size_t n = rec.samples.size();
+    const double rate = rec.header.sample_rate_hz;
+    const int64_t t0 = rec.header.start_time_ms;
+    std::fill_n(record_ids, n, static_cast<int64_t>(r));
+    const int32_t* samples = rec.samples.data();
+    for (size_t i = 0; i < n; ++i) values[i] = static_cast<double>(samples[i]);
+    if (rec.sparse) {
+      const uint32_t* index = rec.sample_index.data();
+      for (size_t i = 0; i < n; ++i) {
+        times[i] = t0 + static_cast<int64_t>(static_cast<double>(index[i]) *
+                                             1000.0 / rate);
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        times[i] =
+            t0 + static_cast<int64_t>(static_cast<double>(i) * 1000.0 / rate);
+      }
+    }
+    record_ids += n;
+    times += n;
+    values += n;
   }
-  return data_table->CommitAppendedRows(n);
+  return data_table->CommitAppendedRows(total);
 }
 
 }  // namespace dex

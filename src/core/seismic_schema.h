@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "mseed/reader.h"
@@ -43,11 +44,14 @@ Result<TablePtr> BuildRecordTable(const mseed::ScanResult& scan);
 mseed::ScanResult ScanResultFromTables(const Table& f_table,
                                        const Table& r_table);
 
-/// \brief Appends one decoded record's samples to a D-schema table.
-/// `record_id` is the record's index within its file.
-Status AppendSamplesToDataTable(const std::string& uri, int64_t record_id,
-                                const mseed::DecodedRecord& record,
-                                Table* data_table);
+/// \brief Appends one file's decoded records to a D-schema table, column at
+/// a time: the transform step of both ALi's mount and Ei's load. Record i
+/// gets record_id i; a sparse record (zone-map frame skip) places each value
+/// at its original sample index, so sample_time stays exact. A file with no
+/// samples appends nothing, not even its uri to the dictionary.
+Status AppendFileToDataTable(const std::string& uri,
+                             const std::vector<mseed::DecodedRecord>& records,
+                             Table* data_table);
 
 }  // namespace dex
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -69,100 +70,6 @@ uint64_t HashKeyRow(const std::vector<ColumnPtr>& keys, size_t row) {
   uint64_t h = 0;
   for (const ColumnPtr& k : keys) h = HashCombine(h, HashCell(*k, row));
   return h;
-}
-
-// ---------------------------------------------------------------------------
-// Kernel lowering: which predicates/aggregations the branchless kernels in
-// engine/kernel.h can run. Decided once per operator (at Open), never per row.
-// ---------------------------------------------------------------------------
-
-/// One kernel-runnable conjunct: physical column `col` `op` typed literal.
-struct KernelConjunct {
-  int col = -1;
-  CompareOp op = CompareOp::kEq;
-  bool is_f64 = false;
-  double f64 = 0;
-  int64_t i64 = 0;
-};
-
-CompareOp FlipCompare(CompareOp op) {
-  switch (op) {
-    case CompareOp::kLt: return CompareOp::kGt;
-    case CompareOp::kLe: return CompareOp::kGe;
-    case CompareOp::kGt: return CompareOp::kLt;
-    case CompareOp::kGe: return CompareOp::kLe;
-    default: return op;
-  }
-}
-
-/// Lowers one bound conjunct to a KernelConjunct against `schema`, or
-/// returns false when only the scalar interpreter can run it.
-bool LowerConjunct(const ExprPtr& e, const Schema& schema,
-                   KernelConjunct* out) {
-  if (e == nullptr || e->kind() != ExprKind::kComparison) return false;
-  const ExprPtr& a = e->children()[0];
-  const ExprPtr& b = e->children()[1];
-  const Expr* col = nullptr;
-  const Expr* lit = nullptr;
-  CompareOp op = e->compare_op();
-  if (a->kind() == ExprKind::kColumnRef && b->kind() == ExprKind::kLiteral) {
-    col = a.get();
-    lit = b.get();
-  } else if (a->kind() == ExprKind::kLiteral &&
-             b->kind() == ExprKind::kColumnRef) {
-    col = b.get();
-    lit = a.get();
-    op = FlipCompare(op);
-  } else {
-    return false;
-  }
-  if (col->column_index() < 0 ||
-      static_cast<size_t>(col->column_index()) >= schema.num_fields()) {
-    return false;
-  }
-  const DataType ct = schema.field(col->column_index()).type;
-  const Value& v = lit->literal();
-  if (v.is_null()) return false;
-  out->col = col->column_index();
-  out->op = op;
-  if (ct == DataType::kDouble) {
-    auto d = v.AsDouble();
-    if (!d.ok()) return false;
-    out->is_f64 = true;
-    out->f64 = *d;
-    return true;
-  }
-  if (ct == DataType::kInt64 || ct == DataType::kTimestamp) {
-    if (v.type() == DataType::kInt64 || v.type() == DataType::kTimestamp) {
-      out->i64 = v.int64();
-    } else if (v.type() == DataType::kDouble) {
-      // Only exactly-representable literals lower; `v < 3.5` over ints keeps
-      // the scalar path rather than silently rounding the bound.
-      const double d = v.dbl();
-      if (d != static_cast<double>(static_cast<int64_t>(d))) return false;
-      out->i64 = static_cast<int64_t>(d);
-    } else {
-      return false;
-    }
-    out->is_f64 = false;
-    return true;
-  }
-  return false;
-}
-
-/// Lowers a full bound predicate into kernel conjuncts (AND of comparisons).
-bool LowerPredicate(const ExprPtr& pred, const Schema& schema,
-                    std::vector<KernelConjunct>* out) {
-  std::vector<ExprPtr> conjuncts;
-  Expr::SplitConjuncts(pred, &conjuncts);
-  if (conjuncts.empty()) return false;
-  out->clear();
-  for (const ExprPtr& c : conjuncts) {
-    KernelConjunct kc;
-    if (!LowerConjunct(c, schema, &kc)) return false;
-    out->push_back(kc);
-  }
-  return true;
 }
 
 /// Materializes everything an operator produces into a Table.
@@ -313,43 +220,35 @@ class CacheScanOp : public TableSourceOp {
 
 /// Filter emits *selection vectors*, not gathered copies: the output batch
 /// shares the child's columns and carries the surviving row indices (see the
-/// contract in engine/batch.h). Kernel-eligible predicates (conjunctions of
-/// column-vs-literal comparisons over numeric columns) run through the
-/// branchless kernels; everything else evaluates via the expression
-/// interpreter and converts its mask to a selection.
+/// contract in engine/batch.h). kernel::PredicateSelector picks the rows:
+/// the branchless kernels for conjunctions of column-vs-literal comparisons
+/// over numeric columns, the expression interpreter for everything else.
 class FilterOp : public PhysOp {
  public:
   FilterOp(SchemaPtr schema, ExprPtr bound_pred, PhysOpPtr child,
            ExecContext* ctx)
       : PhysOp(std::move(schema)),
-        predicate_(std::move(bound_pred)),
+        selector_(std::move(bound_pred), *child->schema(),
+                  ctx->use_simd_kernels),
         child_(std::move(child)),
         ctx_(ctx) {}
 
-  Status Open() override {
-    kernel_mode_ = ctx_->use_simd_kernels &&
-                   LowerPredicate(predicate_, *child_->schema(), &conjuncts_);
-    return child_->Open();
-  }
+  Status Open() override { return child_->Open(); }
 
   Result<bool> Next(Batch* out) override {
     while (true) {
       Batch in;
       DEX_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
       if (!more) return false;
+      // Only the kernels read through an incoming selection.
+      if (!selector_.uses_kernels() && in.Compact()) {
+        ctx_->stats.selection_compactions += 1;
+      }
       std::vector<uint32_t> selected;
-      if (kernel_mode_) {
-        RunKernels(in, &selected);
+      DEX_RETURN_NOT_OK(selector_.Select(&in, &selected));
+      if (selector_.uses_kernels()) {
         ctx_->stats.kernel_filter_batches += 1;
       } else {
-        // Scalar fallback: the interpreter wants dense physical rows.
-        if (in.Compact()) ctx_->stats.selection_compactions += 1;
-        DEX_ASSIGN_OR_RETURN(ColumnPtr mask, predicate_->Evaluate(in));
-        selected.reserve(in.num_rows());
-        const int64_t* bits = mask->data_i64();
-        for (size_t i = 0; i < in.num_rows(); ++i) {
-          if (bits[i] != 0) selected.push_back(static_cast<uint32_t>(i));
-        }
         ctx_->stats.scalar_filter_batches += 1;
       }
       if (selected.empty()) continue;
@@ -368,43 +267,9 @@ class FilterOp : public PhysOp {
   }
 
  private:
-  /// Applies the lowered conjuncts: the first builds the selection (or the
-  /// child's incoming selection seeds it), the rest refine it in place.
-  void RunKernels(Batch& in, std::vector<uint32_t>* selected) {
-    const size_t n = in.physical_rows();
-    size_t k;
-    size_t first = 0;
-    if (in.has_selection) {
-      *selected = std::move(in.selection);
-      in.has_selection = false;
-      k = selected->size();
-    } else {
-      selected->resize(n);
-      const KernelConjunct& c = conjuncts_[0];
-      const Column& col = *in.columns[c.col];
-      k = c.is_f64
-              ? kernel::FilterF64(col.data_f64(), n, c.op, c.f64,
-                                  selected->data())
-              : kernel::FilterI64(col.data_i64(), n, c.op, c.i64,
-                                  selected->data());
-      first = 1;
-    }
-    for (size_t ci = first; ci < conjuncts_.size() && k > 0; ++ci) {
-      const KernelConjunct& c = conjuncts_[ci];
-      const Column& col = *in.columns[c.col];
-      k = c.is_f64 ? kernel::RefineF64(col.data_f64(), c.op, c.f64,
-                                       selected->data(), k)
-                   : kernel::RefineI64(col.data_i64(), c.op, c.i64,
-                                       selected->data(), k);
-    }
-    selected->resize(k);
-  }
-
-  ExprPtr predicate_;
+  kernel::PredicateSelector selector_;
   PhysOpPtr child_;
   ExecContext* ctx_;
-  bool kernel_mode_ = false;
-  std::vector<KernelConjunct> conjuncts_;
 };
 
 class ProjectOp : public PhysOp {
@@ -484,6 +349,22 @@ Result<JoinKeys> ExtractJoinKeys(const ExprPtr& condition, const Schema& left,
   return keys;
 }
 
+/// Applies a join's residual filter to a freshly joined (dense) batch,
+/// gathering the survivors when some rows fail. Returns false when none
+/// survive.
+Result<bool> FilterJoined(const kernel::PredicateSelector& residual,
+                          Batch* joined) {
+  std::vector<uint32_t> selected;
+  DEX_RETURN_NOT_OK(residual.Select(joined, &selected));
+  if (selected.empty()) return false;
+  if (selected.size() != joined->num_rows()) {
+    joined->selection = std::move(selected);
+    joined->has_selection = true;
+    joined->Compact();
+  }
+  return true;
+}
+
 /// Hash join: materializes+hashes the right (build) side, streams the left
 /// (probe) side. Falls back to nested-loop when the condition has no
 /// equality pairs (the paper's "Q_f might contain cartesian products").
@@ -498,6 +379,9 @@ class HashJoinOp : public PhysOp {
         ctx_(ctx) {}
 
   Status Open() override {
+    if (keys_.residual != nullptr) {
+      residual_.emplace(keys_.residual, *schema_, ctx_->use_simd_kernels);
+    }
     DEX_RETURN_NOT_OK(left_->Open());
     DEX_RETURN_NOT_OK(right_->Open());
     DEX_ASSIGN_OR_RETURN(build_, Drain(right_.get(), "join_build"));
@@ -590,24 +474,9 @@ class HashJoinOp : public PhysOp {
         col->AppendGather(*build_->column(c), build_rows);
         joined.columns.push_back(std::move(col));
       }
-      if (keys_.residual != nullptr) {
-        DEX_ASSIGN_OR_RETURN(ColumnPtr mask, keys_.residual->Evaluate(joined));
-        std::vector<uint32_t> selected;
-        const int64_t* bits = mask->data_i64();
-        for (size_t i = 0; i < joined.num_rows(); ++i) {
-          if (bits[i] != 0) selected.push_back(static_cast<uint32_t>(i));
-        }
-        if (selected.empty()) continue;
-        if (selected.size() != joined.num_rows()) {
-          Batch filtered;
-          filtered.schema = schema_;
-          for (const ColumnPtr& c : joined.columns) {
-            auto col = std::make_shared<Column>(c->type());
-            col->AppendGather(*c, selected);
-            filtered.columns.push_back(std::move(col));
-          }
-          joined = std::move(filtered);
-        }
+      if (residual_.has_value()) {
+        DEX_ASSIGN_OR_RETURN(bool any, FilterJoined(*residual_, &joined));
+        if (!any) continue;
       }
       *out = std::move(joined);
       return true;
@@ -619,6 +488,7 @@ class HashJoinOp : public PhysOp {
   PhysOpPtr left_;
   PhysOpPtr right_;
   ExecContext* ctx_;
+  std::optional<kernel::PredicateSelector> residual_;
   TablePtr build_;
   std::vector<ColumnPtr> build_keys_;
   // Parallel arrays sorted by hash.
@@ -645,6 +515,15 @@ class IndexJoinOp : public PhysOp {
         ctx_(ctx) {}
 
   Status Open() override {
+    // Residual join predicates plus any filter that sat on the right scan.
+    ExprPtr post = keys_.residual;
+    if (right_filter_ != nullptr) {
+      post = post ? Expr::And(post, right_filter_) : right_filter_;
+    }
+    if (post != nullptr) {
+      DEX_ASSIGN_OR_RETURN(ExprPtr bound, post->Bind(*schema_));
+      post_.emplace(std::move(bound), *schema_, ctx_->use_simd_kernels);
+    }
     DEX_RETURN_NOT_OK(left_->Open());
     if (ctx_->charge_io) {
       DEX_RETURN_NOT_OK(ctx_->catalog->ChargeIndexRead(right_table_name_));
@@ -695,30 +574,9 @@ class IndexJoinOp : public PhysOp {
         col->AppendGather(*right_table_->column(c), fetch_rows);
         joined.columns.push_back(std::move(col));
       }
-      // Residual join predicates plus any filter that sat on the right scan.
-      ExprPtr post = keys_.residual;
-      if (right_filter_ != nullptr) {
-        post = post ? Expr::And(post, right_filter_) : right_filter_;
-      }
-      if (post != nullptr) {
-        DEX_ASSIGN_OR_RETURN(ExprPtr bound, post->Bind(*schema_));
-        DEX_ASSIGN_OR_RETURN(ColumnPtr mask, bound->Evaluate(joined));
-        std::vector<uint32_t> selected;
-        const int64_t* bits = mask->data_i64();
-        for (size_t i = 0; i < joined.num_rows(); ++i) {
-          if (bits[i] != 0) selected.push_back(static_cast<uint32_t>(i));
-        }
-        if (selected.empty()) continue;
-        if (selected.size() != joined.num_rows()) {
-          Batch filtered;
-          filtered.schema = schema_;
-          for (const ColumnPtr& c : joined.columns) {
-            auto col = std::make_shared<Column>(c->type());
-            col->AppendGather(*c, selected);
-            filtered.columns.push_back(std::move(col));
-          }
-          joined = std::move(filtered);
-        }
+      if (post_.has_value()) {
+        DEX_ASSIGN_OR_RETURN(bool any, FilterJoined(*post_, &joined));
+        if (!any) continue;
       }
       *out = std::move(joined);
       return true;
@@ -731,8 +589,9 @@ class IndexJoinOp : public PhysOp {
   std::string right_table_name_;
   TablePtr right_table_;
   const HashIndex* index_;
-  ExprPtr right_filter_;  // unbound; bound against output schema lazily
+  ExprPtr right_filter_;  // unbound; bound against the output schema at Open
   ExecContext* ctx_;
+  std::optional<kernel::PredicateSelector> post_;
 };
 
 // ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ struct ExecStats {
   // Vectorized-kernel coverage (engine/kernel.h): batches that ran on the
   // branchless SIMD path vs. batches that fell back to the scalar
   // expression interpreter, and selection vectors materialized at
-  // kernel-unaware operator boundaries.
+  // kernel-unaware operator boundaries. The filter counts are FilterOp's
+  // alone: join residuals and fused mount selections share its
+  // PredicateSelector but are not counted.
   uint64_t kernel_filter_batches = 0;
   uint64_t scalar_filter_batches = 0;
   uint64_t kernel_agg_batches = 0;
@@ -75,9 +77,10 @@ struct ExecContext {
   /// tables instead of building a hash table on the fly.
   bool use_index_joins = false;
 
-  /// Route eligible filters/aggregations through the branchless kernels in
-  /// engine/kernel.h (selection vectors, compact group-by). Off = always use
-  /// the scalar expression interpreter (PruningOptions::use_simd_kernels).
+  /// Route eligible filters, join residuals and aggregations through the
+  /// branchless kernels in engine/kernel.h (selection vectors, compact
+  /// group-by). Off = always use the scalar expression interpreter
+  /// (PruningOptions::use_simd_kernels).
   bool use_simd_kernels = true;
 
   /// Charge SimDisk I/O for base-table scans / index reads (disabled in

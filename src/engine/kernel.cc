@@ -1,6 +1,8 @@
 #include "engine/kernel.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 namespace dex::kernel {
 
@@ -72,7 +74,137 @@ size_t RefineDispatch(const T* v, CompareOp op, T lit, uint32_t* sel,
   return 0;
 }
 
+CompareOp FlipCompare(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt: return CompareOp::kGt;
+    case CompareOp::kLe: return CompareOp::kGe;
+    case CompareOp::kGt: return CompareOp::kLt;
+    case CompareOp::kGe: return CompareOp::kLe;
+    default: return op;
+  }
+}
+
+/// Lowers one bound conjunct to a KernelConjunct against `schema`, or
+/// returns false when only the scalar interpreter can run it.
+bool LowerConjunct(const ExprPtr& e, const Schema& schema,
+                   KernelConjunct* out) {
+  if (e == nullptr || e->kind() != ExprKind::kComparison) return false;
+  const ExprPtr& a = e->children()[0];
+  const ExprPtr& b = e->children()[1];
+  const Expr* col = nullptr;
+  const Expr* lit = nullptr;
+  CompareOp op = e->compare_op();
+  if (a->kind() == ExprKind::kColumnRef && b->kind() == ExprKind::kLiteral) {
+    col = a.get();
+    lit = b.get();
+  } else if (a->kind() == ExprKind::kLiteral &&
+             b->kind() == ExprKind::kColumnRef) {
+    col = b.get();
+    lit = a.get();
+    op = FlipCompare(op);
+  } else {
+    return false;
+  }
+  if (col->column_index() < 0 ||
+      static_cast<size_t>(col->column_index()) >= schema.num_fields()) {
+    return false;
+  }
+  const DataType ct = schema.field(col->column_index()).type;
+  const Value& v = lit->literal();
+  if (v.is_null()) return false;
+  out->col = col->column_index();
+  out->op = op;
+  if (ct == DataType::kDouble) {
+    auto d = v.AsDouble();
+    if (!d.ok()) return false;
+    out->is_f64 = true;
+    out->f64 = *d;
+    return true;
+  }
+  if (ct == DataType::kInt64 || ct == DataType::kTimestamp) {
+    if (v.type() == DataType::kInt64 || v.type() == DataType::kTimestamp) {
+      out->i64 = v.int64();
+    } else if (v.type() == DataType::kDouble) {
+      // Only integral literals inside int64's range lower; `v < 3.5` over
+      // ints keeps the scalar path rather than silently rounding the bound,
+      // and the range check keeps the conversion below defined.
+      const double d = v.dbl();
+      if (!(d >= -0x1p63 && d < 0x1p63) || d != std::trunc(d)) return false;
+      out->i64 = static_cast<int64_t>(d);
+    } else {
+      return false;
+    }
+    out->is_f64 = false;
+    return true;
+  }
+  return false;
+}
+
 }  // namespace
+
+bool LowerPredicate(const ExprPtr& pred, const Schema& schema,
+                    std::vector<KernelConjunct>* out) {
+  std::vector<ExprPtr> conjuncts;
+  Expr::SplitConjuncts(pred, &conjuncts);
+  if (conjuncts.empty()) return false;
+  out->clear();
+  for (const ExprPtr& c : conjuncts) {
+    KernelConjunct kc;
+    if (!LowerConjunct(c, schema, &kc)) return false;
+    out->push_back(kc);
+  }
+  return true;
+}
+
+PredicateSelector::PredicateSelector(ExprPtr bound_pred, const Schema& schema,
+                                     bool use_kernels)
+    : predicate_(std::move(bound_pred)) {
+  uses_kernels_ =
+      use_kernels && LowerPredicate(predicate_, schema, &conjuncts_);
+}
+
+Status PredicateSelector::Select(Batch* batch,
+                                 std::vector<uint32_t>* selected) const {
+  if (!uses_kernels_) {
+    batch->Compact();  // the interpreter wants dense physical rows
+    DEX_ASSIGN_OR_RETURN(ColumnPtr mask, predicate_->Evaluate(*batch));
+    const size_t n = batch->num_rows();
+    const int64_t* bits = mask->data_i64();
+    selected->clear();
+    selected->reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (bits[i] != 0) selected->push_back(static_cast<uint32_t>(i));
+    }
+    return Status::OK();
+  }
+  // The first conjunct builds the selection (or the batch's incoming
+  // selection seeds it); the rest refine it in place.
+  size_t k;
+  size_t first = 0;
+  if (batch->has_selection) {
+    *selected = std::move(batch->selection);
+    batch->selection.clear();
+    batch->has_selection = false;
+    k = selected->size();
+  } else {
+    const size_t n = batch->physical_rows();
+    selected->resize(n);
+    const KernelConjunct& c = conjuncts_[0];
+    const Column& col = *batch->columns[c.col];
+    k = c.is_f64 ? FilterF64(col.data_f64(), n, c.op, c.f64, selected->data())
+                 : FilterI64(col.data_i64(), n, c.op, c.i64, selected->data());
+    first = 1;
+  }
+  for (size_t ci = first; ci < conjuncts_.size() && k > 0; ++ci) {
+    const KernelConjunct& c = conjuncts_[ci];
+    const Column& col = *batch->columns[c.col];
+    k = c.is_f64
+            ? RefineF64(col.data_f64(), c.op, c.f64, selected->data(), k)
+            : RefineI64(col.data_i64(), c.op, c.i64, selected->data(), k);
+  }
+  selected->resize(k);
+  return Status::OK();
+}
 
 size_t FilterF64(const double* v, size_t n, CompareOp op, double lit,
                  uint32_t* sel) {

@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "engine/batch.h"
 #include "engine/expr.h"
+#include "storage/schema.h"
 
 namespace dex::kernel {
 
@@ -16,8 +18,9 @@ namespace dex::kernel {
 /// registers: comparisons become masks added to a running selection cursor,
 /// aggregates are straight-line min/max/sum reductions. No allocation, no
 /// virtual dispatch, no Status plumbing — eligibility is decided once per
-/// batch by the caller (FilterOp/HashAggOp), which falls back to the scalar
-/// expression interpreter for anything these kernels do not cover.
+/// operator (PredicateSelector for filters, HashAggOp for aggregates), which
+/// falls back to the scalar expression interpreter for anything these
+/// kernels do not cover.
 ///
 /// Selection vectors are ascending row indices into the span (see
 /// engine/batch.h for the ownership contract). All kernels are pure
@@ -39,6 +42,53 @@ size_t RefineF64(const double* v, CompareOp op, double lit, uint32_t* sel,
                  size_t k);
 size_t RefineI64(const int64_t* v, CompareOp op, int64_t lit, uint32_t* sel,
                  size_t k);
+
+// -- Predicate lowering and the predicate → selection path ----------------
+
+/// One kernel-runnable conjunct: physical column `col` `op` typed literal.
+struct KernelConjunct {
+  int col = -1;
+  CompareOp op = CompareOp::kEq;
+  bool is_f64 = false;
+  double f64 = 0;
+  int64_t i64 = 0;
+};
+
+/// Lowers a bound predicate into kernel conjuncts: an AND of
+/// column-vs-literal comparisons over numeric columns of `schema`, either
+/// side literal. Returns false when only the scalar interpreter can run it
+/// (OR, NOT, LIKE, string columns, a non-integral literal against an
+/// integer column, ...).
+bool LowerPredicate(const ExprPtr& pred, const Schema& schema,
+                    std::vector<KernelConjunct>* out);
+
+/// \brief The one way a bound predicate turns a batch into a selection
+/// vector, shared by FilterOp, the join residual filters and the mount's
+/// fused select. The predicate is lowered once, at construction; Select()
+/// runs the kernels when it lowered and `use_kernels` is set, and the
+/// expression interpreter otherwise. Both paths select the same rows. It
+/// feeds no counters: callers that report kernel coverage ask
+/// uses_kernels().
+class PredicateSelector {
+ public:
+  /// `bound_pred` must be bound against `schema`, the schema of the batches
+  /// Select() will see.
+  PredicateSelector(ExprPtr bound_pred, const Schema& schema,
+                    bool use_kernels);
+
+  bool uses_kernels() const { return uses_kernels_; }
+
+  /// Replaces `*selected` with the ascending physical rows of `batch` that
+  /// satisfy the predicate. The kernels refine an incoming selection (and
+  /// take it out of the batch); the interpreter first compacts the batch, so
+  /// its indices refer to the batch's new dense columns.
+  Status Select(Batch* batch, std::vector<uint32_t>* selected) const;
+
+ private:
+  ExprPtr predicate_;
+  std::vector<KernelConjunct> conjuncts_;
+  bool uses_kernels_ = false;
+};
 
 // -- Aggregates over contiguous spans --------------------------------------
 

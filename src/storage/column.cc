@@ -66,6 +66,28 @@ void Column::AppendString(const std::string& v) {
   ++size_;
 }
 
+int64_t* Column::AppendInt64Slots(size_t n) {
+  DEX_CHECK(IsIntegerBacked(type_));
+  i64_.resize(size_ + n);
+  size_ += n;
+  return i64_.data() + (size_ - n);
+}
+
+double* Column::AppendDoubleSlots(size_t n) {
+  DEX_CHECK(type_ == DataType::kDouble);
+  f64_.resize(size_ + n);
+  size_ += n;
+  return f64_.data() + (size_ - n);
+}
+
+void Column::AppendStringRun(const std::string& v, size_t n) {
+  DEX_CHECK(type_ == DataType::kString);
+  if (n == 0) return;
+  EnsureOwnDict();
+  codes_.insert(codes_.end(), n, dict_->Intern(v));
+  size_ += n;
+}
+
 Status Column::AppendValue(const Value& v) {
   if (v.is_null()) {
     return Status::InvalidArgument("NULL values are not supported in columns");

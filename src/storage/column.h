@@ -62,6 +62,16 @@ class Column {
   /// Copies the selected rows of `src` in order.
   void AppendGather(const Column& src, const std::vector<uint32_t>& rows);
 
+  // -- Bulk appends for column-at-a-time builders ------------------------
+  /// Grow the column by `n` rows and return their storage for the caller
+  /// to fill (int64-backed resp. double columns); valid until the next
+  /// append. Growth is geometric, so many calls on one column stay linear.
+  int64_t* AppendInt64Slots(size_t n);
+  double* AppendDoubleSlots(size_t n);
+  /// Appends `n` rows holding `v`, interned once rather than per row; no
+  /// rows, no interning.
+  void AppendStringRun(const std::string& v, size_t n);
+
   // -- Element access ----------------------------------------------------
   int64_t GetInt64(size_t row) const { return i64_[row]; }
   double GetDouble(size_t row) const { return f64_[row]; }

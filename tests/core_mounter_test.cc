@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/seismic_schema.h"
+#include "engine/kernel.h"
 #include "mseed/reader.h"
 #include "mseed/writer.h"
 #include "test_util.h"
@@ -121,6 +122,123 @@ TEST_F(MounterTest, TupleGranularCacheStoresFilteredTuples) {
   auto cached = mounter.CacheLookup(kDataTableName, uri_);
   ASSERT_TRUE(cached.ok());
   EXPECT_EQ((*cached)->num_rows(), 4u);
+}
+
+/// Asserts two tables hold the same cells in the same order and weigh the
+/// same.
+void ExpectSameTable(const Table& a, const Table& b, const std::string& what) {
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
+  ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    for (size_t c = 0; c < a.num_columns(); ++c) {
+      EXPECT_EQ(a.GetValue(r, c), b.GetValue(r, c))
+          << what << " row " << r << " col " << c;
+    }
+  }
+  EXPECT_EQ(a.ByteSize(), b.ByteSize()) << what;
+}
+
+// The combined select-mount over every predicate shape the planner fuses:
+// the rows kept, the table's weight and what each cache granularity stores
+// must not depend on whether the selection kernels or the interpreter ran.
+TEST_F(MounterTest, FusedPredicateShapesAgreeWithAndWithoutKernels) {
+  const auto col = [](const char* name) { return Expr::ColumnRef(name); };
+  const auto i64 = [](int64_t v) { return Expr::Lit(Value::Int64(v)); };
+  const auto ts = [](int64_t v) { return Expr::Lit(Value::Timestamp(v)); };
+  const auto dbl = [](double v) { return Expr::Lit(Value::Double(v)); };
+  struct Case {
+    const char* shape;
+    ExprPtr predicate;
+    bool lowers;  // whether the kernels can run it at all
+    size_t rows;
+  };
+  // Record 0: t = 0, 1000, 2000 with 10, 20, 30; record 1: t = 100000..
+  // 103000 with -5, 0, 5, 10.
+  const std::vector<Case> cases = {
+      {"time window",
+       Expr::And(Expr::Compare(CompareOp::kGe, col("sample_time"), ts(1000)),
+                 Expr::Compare(CompareOp::kLt, col("sample_time"), ts(101000))),
+       true, 3},
+      {"value threshold",
+       Expr::Compare(CompareOp::kGt, col("sample_value"), i64(5)), true, 4},
+      {"every row passes",
+       Expr::Compare(CompareOp::kGt, col("sample_value"), i64(-100)), true,
+       7},
+      {"literal on the left",
+       Expr::Compare(CompareOp::kLe, ts(100000), col("sample_time")), true, 4},
+      {"integer literal against a timestamp",
+       Expr::Compare(CompareOp::kLt, col("sample_time"), i64(2000)), true, 2},
+      // The binder refuses TIMESTAMP against DOUBLE, so the double literals
+      // go against the integer record_id column.
+      {"integral double against an integer column",
+       Expr::Compare(CompareOp::kGe, col("record_id"), dbl(1.0)), true, 4},
+      {"non-integral double against an integer column",
+       Expr::Compare(CompareOp::kLt, col("record_id"), dbl(0.5)), false, 3},
+      {"OR",
+       Expr::Or(Expr::Compare(CompareOp::kLt, col("sample_value"), i64(0)),
+                Expr::Compare(CompareOp::kGe, col("sample_value"), i64(30))),
+       false, 2},
+      {"NOT",
+       Expr::Not(Expr::Compare(CompareOp::kGt, col("sample_value"), i64(5))),
+       false, 3},
+      {"LIKE",
+       Expr::And(Expr::Like(col("uri"), "%test.mseed"),
+                 Expr::Compare(CompareOp::kGe, col("sample_value"), i64(10))),
+       false, 4},
+  };
+  auto mtime = FileMtimeMillis(uri_);
+  ASSERT_TRUE(mtime.ok());
+  for (const Case& c : cases) {
+    auto bound = c.predicate->Bind(*MakeDataSchema());
+    ASSERT_TRUE(bound.ok()) << c.shape;
+    std::vector<kernel::KernelConjunct> conjuncts;
+    EXPECT_EQ(kernel::LowerPredicate(*bound, *MakeDataSchema(), &conjuncts),
+              c.lowers)
+        << c.shape;
+    for (CacheGranularity granularity :
+         {CacheGranularity::kFile, CacheGranularity::kTuple}) {
+      const bool tuple = granularity == CacheGranularity::kTuple;
+      const std::string what = std::string(c.shape) +
+                               (tuple ? " (tuple cache)" : " (file cache)");
+      TablePtr mounted[2];
+      TablePtr cached[2];
+      uint64_t cache_bytes[2] = {0, 0};
+      for (int kernels = 0; kernels < 2; ++kernels) {
+        CacheManager cache(
+            CacheManager::Options{CachePolicy::kAll, granularity, 1 << 30});
+        Mounter mounter(&registry_, &cache, StatsCollectorSet{}, nullptr,
+                        &format_);
+        PruningOptions pruning;
+        pruning.use_simd_kernels = kernels == 1;
+        auto t = mounter.Mount(kDataTableName, uri_, c.predicate, nullptr,
+                               nullptr, &pruning);
+        ASSERT_TRUE(t.ok()) << what << ": " << t.status().ToString();
+        mounted[kernels] = *t;
+        // A file-granular cache keeps the whole file, a tuple-granular one
+        // exactly the selected tuples under the predicate's text.
+        ASSERT_TRUE(cache.Probe(uri_, tuple ? c.predicate->ToString() : "",
+                                *mtime))
+            << what;
+        auto hit = mounter.CacheLookup(kDataTableName, uri_);
+        ASSERT_TRUE(hit.ok()) << what;
+        cached[kernels] = *hit;
+        cache_bytes[kernels] = cache.bytes_used();
+      }
+      EXPECT_EQ(mounted[1]->num_rows(), c.rows) << what;
+      EXPECT_EQ(cached[1]->num_rows(), tuple ? c.rows : 7u) << what;
+      if (!tuple) {
+        // The plan gets a gathered copy that shares the cached whole
+        // file's dictionary, even when every row passes: that sharing is
+        // part of what both tables weigh.
+        EXPECT_NE(mounted[1], cached[1]) << what;
+        EXPECT_EQ(mounted[1]->column(0)->dict(), cached[1]->column(0)->dict())
+            << what;
+      }
+      ExpectSameTable(*mounted[0], *mounted[1], what + ": mounted");
+      ExpectSameTable(*cached[0], *cached[1], what + ": cached");
+      EXPECT_EQ(cache_bytes[0], cache_bytes[1]) << what;
+    }
+  }
 }
 
 TEST_F(MounterTest, UnknownUriFails) {

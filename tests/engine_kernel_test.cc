@@ -189,6 +189,137 @@ TEST(KernelGroupBy, GroupedAccumulationMatchesScalar) {
   }
 }
 
+SchemaPtr LoweringSchema() {
+  return std::make_shared<Schema>(Schema({{"i", DataType::kInt64, "t"},
+                                          {"ts", DataType::kTimestamp, "t"},
+                                          {"d", DataType::kDouble, "t"},
+                                          {"s", DataType::kString, "t"}}));
+}
+
+ExprPtr BindTo(const ExprPtr& e, const Schema& schema) {
+  auto bound = e->Bind(schema);
+  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+  return bound.ok() ? *bound : nullptr;
+}
+
+TEST(KernelLowering, NonIntegralDoubleAgainstIntegerColumnDoesNotLower) {
+  const SchemaPtr schema = LoweringSchema();
+  std::vector<kernel::KernelConjunct> out;
+  // Rounding 3.5 to an integer bound would change which rows pass.
+  EXPECT_FALSE(kernel::LowerPredicate(
+      BindTo(Expr::Compare(CompareOp::kLt, Expr::ColumnRef("i"),
+                           Expr::Lit(Value::Double(3.5))),
+             *schema),
+      *schema, &out));
+  EXPECT_FALSE(kernel::LowerPredicate(
+      BindTo(Expr::Compare(CompareOp::kGt, Expr::Lit(Value::Double(-0.25)),
+                           Expr::ColumnRef("i")),
+             *schema),
+      *schema, &out));
+  // Nor does one outside int64's range: converting it is undefined.
+  for (double huge : {1e30, -1e30, 9223372036854775808.0}) {
+    EXPECT_FALSE(kernel::LowerPredicate(
+        BindTo(Expr::Compare(CompareOp::kLt, Expr::ColumnRef("i"),
+                             Expr::Lit(Value::Double(huge))),
+               *schema),
+        *schema, &out))
+        << huge;
+  }
+  // An exactly representable one lowers to an integer comparison.
+  ASSERT_TRUE(kernel::LowerPredicate(
+      BindTo(Expr::Compare(CompareOp::kLt, Expr::ColumnRef("i"),
+                           Expr::Lit(Value::Double(3.0))),
+             *schema),
+      *schema, &out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].is_f64);
+  EXPECT_EQ(out[0].i64, 3);
+  // Timestamps compare against integer literals (epoch millis) only.
+  ASSERT_TRUE(kernel::LowerPredicate(
+      BindTo(Expr::Compare(CompareOp::kLt, Expr::ColumnRef("ts"),
+                           Expr::Lit(Value::Int64(1000))),
+             *schema),
+      *schema, &out));
+  EXPECT_FALSE(out[0].is_f64);
+  EXPECT_EQ(out[0].i64, 1000);
+}
+
+TEST(KernelLowering, FlipsLiteralOnTheLeftAndSplitsConjuncts) {
+  const SchemaPtr schema = LoweringSchema();
+  std::vector<kernel::KernelConjunct> out;
+  ASSERT_TRUE(kernel::LowerPredicate(
+      BindTo(Expr::And(Expr::Compare(CompareOp::kLt, Expr::Lit(Value::Int64(5)),
+                                     Expr::ColumnRef("d")),
+                       Expr::Compare(CompareOp::kGe, Expr::ColumnRef("ts"),
+                                     Expr::Lit(Value::Timestamp(7)))),
+             *schema),
+      *schema, &out));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].col, 2);
+  EXPECT_EQ(out[0].op, CompareOp::kGt);  // 5 < d  ==  d > 5
+  EXPECT_TRUE(out[0].is_f64);
+  EXPECT_EQ(out[0].f64, 5.0);
+  EXPECT_EQ(out[1].col, 1);
+  EXPECT_EQ(out[1].op, CompareOp::kGe);
+  EXPECT_EQ(out[1].i64, 7);
+  // String columns and non-comparison shapes stay on the interpreter.
+  EXPECT_FALSE(kernel::LowerPredicate(
+      BindTo(Expr::Compare(CompareOp::kEq, Expr::ColumnRef("s"),
+                           Expr::Lit(Value::String("x"))),
+             *schema),
+      *schema, &out));
+  EXPECT_FALSE(kernel::LowerPredicate(
+      BindTo(Expr::Or(Expr::Compare(CompareOp::kLt, Expr::ColumnRef("i"),
+                                    Expr::Lit(Value::Int64(1))),
+                      Expr::Compare(CompareOp::kGt, Expr::ColumnRef("i"),
+                                    Expr::Lit(Value::Int64(9)))),
+             *schema),
+      *schema, &out));
+}
+
+TEST(KernelLowering, SelectorKernelsMatchInterpreter) {
+  const SchemaPtr schema = LoweringSchema();
+  Random rng(17);
+  Batch base = Batch::Empty(schema);
+  for (int r = 0; r < 500; ++r) {
+    base.columns[0]->AppendInt64(rng.UniformRange(-20, 20));
+    base.columns[1]->AppendInt64(rng.UniformRange(0, 1000));
+    base.columns[2]->AppendDouble(static_cast<double>(rng.Uniform(100)) / 4);
+    base.columns[3]->AppendString(rng.NextBool(0.5) ? "a" : "b");
+  }
+  const ExprPtr pred = BindTo(
+      Expr::And(Expr::Compare(CompareOp::kGe, Expr::ColumnRef("i"),
+                              Expr::Lit(Value::Int64(-5))),
+                Expr::Compare(CompareOp::kLt, Expr::Lit(Value::Double(10.5)),
+                              Expr::ColumnRef("d"))),
+      *schema);
+  const kernel::PredicateSelector kernels(pred, *schema, true);
+  const kernel::PredicateSelector interpreter(pred, *schema, false);
+  ASSERT_TRUE(kernels.uses_kernels());
+  ASSERT_FALSE(interpreter.uses_kernels());
+  // Dense input, then an incoming selection of every third row.
+  for (bool preselect : {false, true}) {
+    std::vector<uint32_t> by_kernels, by_interpreter;
+    Batch a = base;
+    Batch b = base;
+    if (preselect) {
+      for (uint32_t r = 0; r < 500; r += 3) a.selection.push_back(r);
+      a.has_selection = true;
+      b.selection = a.selection;
+      b.has_selection = true;
+    }
+    ASSERT_TRUE(kernels.Select(&a, &by_kernels).ok());
+    ASSERT_TRUE(interpreter.Select(&b, &by_interpreter).ok());
+    // The interpreter compacted `b`: map its dense indices back.
+    std::vector<uint32_t> mapped;
+    for (uint32_t r : by_interpreter) {
+      mapped.push_back(preselect ? r * 3 : r);
+    }
+    EXPECT_FALSE(by_kernels.empty());
+    EXPECT_EQ(by_kernels, mapped) << "preselect=" << preselect;
+  }
+}
+
 TEST(BatchSelection, CompactGathersSelectedRowsAndDropsVector) {
   auto schema = std::make_shared<Schema>(
       Schema({{"s", DataType::kString, "t"}, {"x", DataType::kInt64, "t"}}));

@@ -1,6 +1,7 @@
 #include "io/file_io.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 namespace dex {
 namespace {
@@ -8,7 +9,7 @@ namespace {
 class FileIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/dex_file_io_test";
+    dir_ = "/tmp/dex_file_io_test_" + std::to_string(::getpid());
     ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
   }
   void TearDown() override { (void)RemoveDirRecursive(dir_); }

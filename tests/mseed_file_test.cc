@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "io/file_io.h"
 #include "mseed/reader.h"
@@ -10,7 +11,7 @@ namespace {
 class MseedFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/dex_mseed_file_test";
+    dir_ = "/tmp/dex_mseed_file_test_" + std::to_string(::getpid());
     ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
   }
   void TearDown() override { (void)RemoveDirRecursive(dir_); }

@@ -1,6 +1,7 @@
 #include "mseed/generator.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <set>
 
@@ -15,7 +16,7 @@ namespace {
 class GeneratorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/dex_generator_test";
+    dir_ = "/tmp/dex_generator_test_" + std::to_string(::getpid());
     ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
   }
   void TearDown() override { (void)RemoveDirRecursive(dir_); }
