@@ -39,7 +39,6 @@ int main() {
   auto db_plain = MustOpen(dir, plain);
 
   DatabaseOptions derived;
-  derived.collect_derived_metadata = true;
   derived.two_stage.pruning.file_level = true;
   auto db_derived = MustOpen(dir, derived);
 
@@ -67,12 +66,20 @@ int main() {
   }
 
   // Summary queries answered purely from derived metadata (stage 1 only).
-  const Timing dm = TimeQuery(
-      db_derived.get(),
-      "SELECT COUNT(*) AS records, MAX(DM.max_value) AS peak FROM DM;");
+  const char* kSummary =
+      "SELECT COUNT(*) AS records, MAX(DM.max_value) AS peak FROM DM;";
+  const Timing dm = TimeQuery(db_derived.get(), kSummary);
+  auto summary = db_derived->Query(kSummary);
+  if (!summary.ok()) {
+    std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
+    return 1;
+  }
   std::printf("\npeak amplitude from DM table alone: %.4fs, stage1_only=%s, "
-              "0 mounts\n",
-              dm.total(), dm.stats.two_stage.stage1_only ? "yes" : "no");
+              "%llu mounts: %lld records, peak %.0f\n",
+              dm.total(), dm.stats.two_stage.stage1_only ? "yes" : "no",
+              static_cast<unsigned long long>(dm.stats.mount.mounts),
+              static_cast<long long>(summary->table->GetValue(0, 0).int64()),
+              summary->table->GetValue(0, 1).dbl());
   std::printf(
       "\nreading the table: the higher the threshold, the more files the\n"
       "derived stats exclude; queries that once re-mounted whole stations\n"

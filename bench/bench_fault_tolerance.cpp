@@ -51,8 +51,8 @@ int main() {
                              static_cast<double>(full_rows);
     std::printf("%11.1f%% %9.4fs %9.4fs %10llu %10llu %11.2f%%\n", rate * 100,
                 t.total(), t.sim_io_seconds,
-                static_cast<unsigned long long>(t.stats.read_retries),
-                static_cast<unsigned long long>(t.stats.files_failed),
+                static_cast<unsigned long long>(t.stats.mount.read_retries),
+                static_cast<unsigned long long>(t.stats.mount.files_failed),
                 completeness * 100);
   }
 
@@ -82,20 +82,24 @@ int main() {
                 "failed", "quarantined");
     std::printf("%-28s %9.4fs %10llu %10llu %12llu\n", "healthy",
                 healthy.total(),
-                static_cast<unsigned long long>(healthy.stats.read_retries),
-                static_cast<unsigned long long>(healthy.stats.files_failed),
+                static_cast<unsigned long long>(
+                    healthy.stats.mount.read_retries),
+                static_cast<unsigned long long>(
+                    healthy.stats.mount.files_failed),
                 0ull);
     std::printf("%-28s %9.4fs %10llu %10llu %12llu\n",
                 "first query after failure", first.total(),
-                static_cast<unsigned long long>(first.stats.read_retries),
-                static_cast<unsigned long long>(first.stats.files_failed),
+                static_cast<unsigned long long>(first.stats.mount.read_retries),
+                static_cast<unsigned long long>(first.stats.mount.files_failed),
                 static_cast<unsigned long long>(
                     first.stats.two_stage.files_quarantined +
-                    first.stats.files_failed));
+                    first.stats.mount.files_failed));
     std::printf("%-28s %9.4fs %10llu %10llu %12llu\n",
                 "steady state (quarantined)", second.total(),
-                static_cast<unsigned long long>(second.stats.read_retries),
-                static_cast<unsigned long long>(second.stats.files_failed),
+                static_cast<unsigned long long>(
+                    second.stats.mount.read_retries),
+                static_cast<unsigned long long>(
+                    second.stats.mount.files_failed),
                 static_cast<unsigned long long>(
                     second.stats.two_stage.files_quarantined));
   }

@@ -118,8 +118,9 @@ int main() {
     const double speedup =
         volcano_run.timing.cpu_seconds / pruned_run.timing.cpu_seconds;
     const uint64_t rec_skip =
-        pruned_run.timing.stats.records_skipped_zonemap;
-    const uint64_t frm_skip = pruned_run.timing.stats.frames_skipped_zonemap;
+        pruned_run.timing.stats.mount.records_skipped_zonemap;
+    const uint64_t frm_skip =
+        pruned_run.timing.stats.mount.frames_skipped_zonemap;
     const bool hashes_equal = volcano_run.hash == pruned_run.hash;
     const bool sim_io_equal = volcano_run.timing.stats.sim_io_nanos ==
                               pruned_run.timing.stats.sim_io_nanos;

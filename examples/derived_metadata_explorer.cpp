@@ -4,7 +4,8 @@
 //    processing, without the explorer noticing."
 //
 // A two-phase story: the explorer browses a station once (mounting its
-// files); afterwards, per-record summary statistics exist in the DM table.
+// files); afterwards, per-record summary statistics exist in the DM table,
+// built from the zone maps every mount harvests.
 // Later questions — which records are interesting, where are the peaks —
 // are answered from metadata alone, and value-range predicates skip files
 // that provably cannot match.
@@ -30,7 +31,6 @@ int main() {
   if (!dex::mseed::GenerateRepository(kRepoDir, gen).ok()) return 1;
 
   dex::DatabaseOptions options;
-  options.collect_derived_metadata = true;
   options.two_stage.pruning.file_level = true;
   auto db_or = dex::Database::Open(kRepoDir, options);
   if (!db_or.ok()) return 1;
@@ -44,8 +44,7 @@ int main() {
   std::printf("%s", first->table->ToString().c_str());
   std::printf("  mounted %llu files; DM table now holds %zu record summaries\n",
               static_cast<unsigned long long>(first->stats.mount.mounts),
-              static_cast<size_t>(
-                  db->derived_metadata()->table()->num_rows()));
+              static_cast<size_t>(db->zone_maps()->GetStats().records));
 
   std::printf("\nphase 2: which ISK records carry a large event?  "
               "(metadata only — not a single mount)\n");

@@ -10,6 +10,11 @@
 //             [--trace=<file>] [--events-dump=<file>]
 //             [--log-level=debug|info|warning|error]
 //
+// --derived turns on file-level pruning: a file whose complete zone maps
+// prove no sample lies in a query's sample_value range is not mounted
+// (unlike record/frame pruning, this changes the charged I/O). The DM table
+// of per-record statistics is queryable either way, unless --no-zonemap.
+//
 // SQL statements execute through the two-stage kernel; dot-commands inspect
 // the system:
 //   .tables            list tables with row counts and kinds
@@ -71,6 +76,7 @@
 #include "common/string_utils.h"
 #include "core/database.h"
 #include "core/export.h"
+#include "core/seismic_schema.h"
 #include "io/file_io.h"
 #include "serve/session_manager.h"
 #include "obs/chrome_trace.h"
@@ -82,6 +88,7 @@ namespace {
 
 void PrintQueryStats(const dex::QueryStats& stats, bool verbose) {
   const auto& ts = stats.two_stage;
+  const auto& mc = stats.mount;
   std::printf("-- %llu row(s) in %.4fs",
               static_cast<unsigned long long>(stats.result_rows),
               stats.TotalSeconds());
@@ -92,18 +99,18 @@ void PrintQueryStats(const dex::QueryStats& stats, bool verbose) {
                 "%llu mounted, %zu cached, %zu pruned]",
                 ts.stage1_nanos / 1e9, ts.stage2_nanos / 1e9,
                 ts.files_of_interest,
-                static_cast<unsigned long long>(stats.mount.mounts),
+                static_cast<unsigned long long>(mc.mounts),
                 ts.files_planned_cache, ts.files_pruned);
   }
   if (stats.sim_io_nanos > 0) {
     std::printf(" [sim-I/O %.4fs]", stats.sim_io_nanos / 1e9);
   }
-  if (stats.records_skipped_zonemap > 0 || stats.frames_skipped_zonemap > 0 ||
-      stats.zonemap_fallbacks > 0) {
+  if (mc.records_skipped_zonemap > 0 || mc.frames_skipped_zonemap > 0 ||
+      mc.zonemap_fallbacks > 0) {
     std::printf(" [zonemap: %llu records, %llu frames skipped, %llu fallbacks]",
-                static_cast<unsigned long long>(stats.records_skipped_zonemap),
-                static_cast<unsigned long long>(stats.frames_skipped_zonemap),
-                static_cast<unsigned long long>(stats.zonemap_fallbacks));
+                static_cast<unsigned long long>(mc.records_skipped_zonemap),
+                static_cast<unsigned long long>(mc.frames_skipped_zonemap),
+                static_cast<unsigned long long>(mc.zonemap_fallbacks));
   }
   if (ts.workers > 1 && ts.mount_tasks > 0) {
     std::printf(" [%zu mount tasks on %zu workers, sim speedup %.2fx]",
@@ -123,17 +130,17 @@ void PrintQueryStats(const dex::QueryStats& stats, bool verbose) {
                 ts.files_skipped_deadline, ts.files_skipped_memory,
                 ts.files_skipped_shard, ts.cutoff_sim_nanos / 1e9);
   }
-  const bool any_faults = stats.read_retries > 0 || stats.records_salvaged > 0 ||
-                          stats.files_failed > 0 || stats.files_skipped > 0 ||
-                          stats.records_skipped > 0;
+  const bool any_faults = mc.read_retries > 0 || mc.records_salvaged > 0 ||
+                          mc.files_failed > 0 || mc.files_skipped > 0 ||
+                          mc.records_skipped > 0;
   if (verbose || any_faults) {
     std::printf("\n   faults: %llu read retries, %llu records salvaged "
                 "(%llu skipped), %llu files failed, %llu files skipped",
-                static_cast<unsigned long long>(stats.read_retries),
-                static_cast<unsigned long long>(stats.records_salvaged),
-                static_cast<unsigned long long>(stats.records_skipped),
-                static_cast<unsigned long long>(stats.files_failed),
-                static_cast<unsigned long long>(stats.files_skipped));
+                static_cast<unsigned long long>(mc.read_retries),
+                static_cast<unsigned long long>(mc.records_salvaged),
+                static_cast<unsigned long long>(mc.records_skipped),
+                static_cast<unsigned long long>(mc.files_failed),
+                static_cast<unsigned long long>(mc.files_skipped));
   }
   std::printf("\n");
   if (verbose) {
@@ -200,7 +207,7 @@ int main(int argc, char** argv) {
         options.cache.policy = dex::CachePolicy::kLru;
       }
     } else if (arg == "--derived") {
-      options.collect_derived_metadata = true;
+      // File-level pruning from the zone maps (which also back DM).
       options.two_stage.pruning.file_level = true;
     } else if (arg == "--no-zonemap") {
       options.two_stage.pruning.record_level = false;
@@ -331,8 +338,11 @@ int main(int argc, char** argv) {
           auto table = db->catalog()->GetTable(name);
           auto kind = db->catalog()->GetKind(name);
           if (!table.ok() || !kind.ok()) continue;
-          std::printf("%-10s %10zu rows   %s\n", name.c_str(),
-                      (*table)->num_rows(),
+          // DM's rows are built per query from the zone maps.
+          const size_t rows = name == dex::kDerivedTableName
+                                  ? db->zone_maps()->GetStats().records
+                                  : (*table)->num_rows();
+          std::printf("%-10s %10zu rows   %s\n", name.c_str(), rows,
                       *kind == dex::TableKind::kMetadata ? "metadata"
                                                          : "actual data");
         }

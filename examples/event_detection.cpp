@@ -73,7 +73,6 @@ int main() {
   if (!dex::mseed::GenerateRepository(kRepoDir, gen).ok()) return 1;
 
   dex::DatabaseOptions options;
-  options.collect_derived_metadata = true;
   options.cache.policy = dex::CachePolicy::kLru;
   options.cache.capacity_bytes = 128ull << 20;
   auto db_or = dex::Database::Open(kRepoDir, options);

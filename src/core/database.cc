@@ -54,6 +54,14 @@ bool ConsumeKeyword(const std::string& sql, size_t* pos, const char* kw) {
   return true;
 }
 
+/// True when `plan` scans the derived-metadata table DM.
+bool ReadsDerivedTable(const PlanPtr& plan) {
+  std::vector<std::string> tables;
+  CollectTableNames(plan, &tables);
+  return std::find(tables.begin(), tables.end(), kDerivedTableName) !=
+         tables.end();
+}
+
 /// Renders multi-line plan text as a one-column "QUERY PLAN" result table —
 /// how EXPLAIN [ANALYZE] returns through the SQL front end.
 Result<TablePtr> PlanTextTable(const std::string& text) {
@@ -255,6 +263,13 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
     DEX_ASSIGN_OR_RETURN(TablePtr q_table, db->registry_->BuildQuarantineTable());
     DEX_RETURN_NOT_OK(catalog->AddTable(q_table, TableKind::kMetadata));
     DEX_RETURN_NOT_OK(catalog->SyncStorageSize(kQuarantineTableName));
+    // Derived metadata (§5): DM is registered empty; a query that reads it
+    // gets a table built from the zone store (see RunQuery).
+    if (db->zone_maps_ != nullptr) {
+      DEX_RETURN_NOT_OK(catalog->AddTable(
+          std::make_shared<Table>(kDerivedTableName, MakeDerivedSchema()),
+          TableKind::kMetadata));
+    }
   }
   {
     DEX_ASSIGN_OR_RETURN(TablePtr f_table, catalog->GetTable(kFileTableName));
@@ -262,24 +277,17 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
     db->open_stats_.metadata_bytes = f_table->ByteSize() + r_table->ByteSize();
   }
 
-  if (options.collect_derived_metadata) {
-    DEX_ASSIGN_OR_RETURN(db->derived_, DerivedMetadata::Create(catalog.get()));
-  }
-
   // Freeze the built catalog as epoch 0 and wire up the executors.
   db->epochs_ = std::make_unique<EpochManager>(std::move(catalog));
   db->pinned_latest_ = db->epochs_->Pin();
   db->initial_epoch_ = db->pinned_latest_;
-  StatsCollectorSet mount_collectors;
-  mount_collectors.Register(db->derived_.get());
-  mount_collectors.Register(db->zone_maps_.get());
   db->mounter_ = std::make_unique<Mounter>(
-      db->registry_.get(), db->cache_.get(), mount_collectors,
-      db->zone_maps_.get(), db->format_.get(),
-      options.two_stage.on_mount_error, options.two_stage.retry);
+      db->registry_.get(), db->cache_.get(), db->zone_maps_.get(),
+      db->format_.get(), options.two_stage.on_mount_error,
+      options.two_stage.retry);
   db->two_stage_ = std::make_unique<TwoStageExecutor>(
       db->initial_epoch_->catalog.get(), db->registry_.get(), db->cache_.get(),
-      db->mounter_.get(), db->derived_.get(), options.two_stage,
+      db->mounter_.get(), db->zone_maps_.get(), options.two_stage,
       db->pool_.get(), db->info_index_.get());
   db->open_stats_.sim_io_nanos = db->disk_->stats().sim_nanos;
   PublishOpenMetrics(db->open_stats_);
@@ -336,6 +344,10 @@ Result<QueryResult> Database::RunQuery(const std::string& sql,
   // lifetime. Concurrent publishes never change what it sees.
   const EpochPtr pinned = epoch != nullptr ? std::move(epoch) : epochs_->Pin();
   Catalog* catalog = pinned->catalog.get();
+  // A query reading DM runs against a private clone of its epoch whose DM
+  // entry points at a table built from the zone store now. Nothing is
+  // published or written to the SimDisk; other queries never pay for it.
+  std::unique_ptr<Catalog> with_dm;
 
   // This query's effective options: a snapshot of the database-wide defaults
   // with the per-query overrides applied. The defaults are never mutated, so
@@ -382,6 +394,12 @@ Result<QueryResult> Database::RunQuery(const std::string& sql,
     {
       obs::TraceSpan span("parse_bind", "query");
       DEX_ASSIGN_OR_RETURN(plan, sql::PlanQuery(sql, *catalog));
+    }
+    if (zone_maps_ != nullptr && ReadsDerivedTable(plan)) {
+      DEX_ASSIGN_OR_RETURN(TablePtr dm, zone_maps_->BuildDerivedTable());
+      with_dm = catalog->Clone();
+      DEX_RETURN_NOT_OK(with_dm->SwapTable(std::move(dm)));
+      catalog = with_dm.get();
     }
     {
       obs::TraceSpan span("optimize", "query");
@@ -438,14 +456,6 @@ Result<QueryResult> Database::RunQuery(const std::string& sql,
   // — concurrent tasks and interleaved queries each see their own numbers.
   const Mounter::MountOutcome& outcome = out.stats.two_stage.mount;
   out.stats.mount = outcome.counters;
-  out.stats.read_retries = out.stats.mount.read_retries;
-  out.stats.files_failed = out.stats.mount.files_failed;
-  out.stats.files_skipped = out.stats.mount.files_skipped;
-  out.stats.records_salvaged = out.stats.mount.records_salvaged;
-  out.stats.records_skipped = out.stats.mount.records_skipped;
-  out.stats.records_skipped_zonemap = out.stats.mount.records_skipped_zonemap;
-  out.stats.frames_skipped_zonemap = out.stats.mount.frames_skipped_zonemap;
-  out.stats.zonemap_fallbacks = out.stats.mount.zonemap_fallbacks;
 
   // This query's warnings, bounded.
   const size_t copied = std::min(outcome.warnings.size(), kMaxQueryWarnings);

@@ -11,7 +11,6 @@
 #include "core/cache_manager.h"
 #include "core/catalog_epoch.h"
 #include "core/coverage.h"
-#include "core/derived_metadata.h"
 #include "core/eager_loader.h"
 #include "core/file_registry.h"
 #include "core/format_adapter.h"
@@ -68,13 +67,12 @@ struct DatabaseOptions {
   // only bounds physical parallelism across concurrent queries.
   size_t pool_threads = 0;
 
-  // Collect derived metadata as a side effect of mounting (§5).
-  bool collect_derived_metadata = false;
-
   // Harvest per-record / per-Steim-frame min/max zone maps as a side effect
   // of mounting, and use them to skip decode work in later mounts (see
   // PruningOptions). Cheap (one struct per record + 20 bytes per frame);
-  // defaults on.
+  // defaults on. Zone maps are also the derived metadata of §5: under kLazy
+  // they back the queryable DM metadata table and file-level pruning, so
+  // with this off there is no DM table and `file_level` prunes nothing.
   bool collect_zone_maps = true;
 
   // When non-empty, zone maps persist to this file (checksummed, atomic
@@ -159,26 +157,14 @@ struct QueryStats {
   /// the shared clock) — independent of what concurrent queries charge.
   uint64_t sim_io_nanos = 0;
   TwoStageStats two_stage;      // stage split details (kLazy)
-  Mounter::MountCounters mount; // decode work done by ALi
+  /// What ALi's mounts did (kLazy): decode work, fault tolerance (retries,
+  /// failed/skipped files, salvage) and zone-map pruning.
+  Mounter::MountCounters mount;
   uint64_t result_rows = 0;
 
   /// Id of the catalog epoch this query ran against (snapshot isolation: the
   /// epoch current at admission, unaffected by concurrent Refresh).
   uint64_t epoch = 0;
-
-  // Fault tolerance (kLazy; mirrors the per-query slice of
-  // Mounter::MountCounters for direct access).
-  uint64_t read_retries = 0;      // transient read failures absorbed by backoff
-  uint64_t files_failed = 0;      // permanent read failures → quarantined
-  uint64_t files_skipped = 0;     // corrupt files dropped whole (kSkipFile)
-  uint64_t records_salvaged = 0;  // records recovered past corruption
-  uint64_t records_skipped = 0;   // corrupt records dropped (kSalvage)
-
-  // Zone-map pruning (kLazy; mirrors Mounter::MountCounters): decode work
-  // skipped because a zone map proved it could not match the predicate.
-  uint64_t records_skipped_zonemap = 0;
-  uint64_t frames_skipped_zonemap = 0;
-  uint64_t zonemap_fallbacks = 0;  // selective decode failed verification
 
   /// Human-readable degradation notices for this query: retries exhausted,
   /// files quarantined or skipped, records dropped. Bounded; a final entry
@@ -400,6 +386,7 @@ class Database {
   /// The latest published catalog — introspection between operations, not a
   /// stable snapshot: the pointer is valid only until the next publish
   /// (Refresh/AnalyzeCoverage/quarantine sync). Queries pin an epoch instead.
+  /// Its DM entry stays empty: only a query reading DM builds its rows.
   Catalog* catalog() {
     std::lock_guard<std::mutex> lock(publish_mu_);
     return pinned_latest_->catalog.get();
@@ -412,8 +399,8 @@ class Database {
   /// Kill/HealShard and StatusRows back the shell's `.shards` command.
   ShardedRepository* shards() { return shards_.get(); }
   FileRegistry* registry() { return registry_.get(); }
-  DerivedMetadata* derived_metadata() { return derived_.get(); }
-  /// The zone-map store (null when options.collect_zone_maps is false).
+  /// The zone-map store (null when options.collect_zone_maps is false):
+  /// record/frame pruning, file-level pruning and the DM table all read it.
   ZoneMapStore* zone_maps() { return zone_maps_.get(); }
   FormatAdapter* format() { return format_.get(); }
   /// The database-wide worker pool (mount tasks, refresh scan tasks).
@@ -457,9 +444,8 @@ class Database {
   // Database-wide: outlives any one query because cache entries keep their
   // reservations between queries. Created before cache_ is used.
   std::unique_ptr<MemoryBudget> memory_budget_;
-  std::unique_ptr<DerivedMetadata> derived_;
-  // Stats collectors fed by the stage-1 scanner and the mounter (see
-  // core/stats_collector.h). derived_ above is one of them when enabled.
+  // Stats collectors fed by the stage-1 scanner (see
+  // core/stats_collector.h); the mounter also harvests into zone_maps_.
   std::unique_ptr<CoverageCollector> coverage_;
   std::unique_ptr<InformativenessIndex> info_index_;
   std::unique_ptr<ZoneMapStore> zone_maps_;

@@ -203,33 +203,15 @@ Result<TablePtr> Mounter::Mount(const std::string& table_name,
       }
       outcome->counters.samples_decoded += rec.samples.size();
     }
-    if (!collectors_.empty()) {
-      // One pass computes the record's value stats for every collector. A
-      // sparsely decoded record's samples are partial, so its stats come
-      // from its zone map instead — that zone was written by a *full*
-      // decode, so DM content is invariant under pruning. No zone (cannot
-      // happen for a skip, possible after a fallback) → skip delivery; the
-      // next unpruned mount will deliver authoritative stats.
-      RecordValueStats values;
-      bool have_values = false;
-      if (!rec.sparse) {
-        const kernel::NumericAgg agg =
-            kernel::AggI32(rec.samples.data(), rec.samples.size());
-        values.min = agg.min;
-        values.max = agg.max;
-        values.sum = agg.sum;
-        values.count = agg.count;
-        have_values = true;
-      } else if (zone_maps_ != nullptr) {
-        have_values = zone_maps_->GetRecordStats(uri, static_cast<int64_t>(i),
-                                                 &values);
-      }
-      if (have_values) {
-        DEX_RETURN_NOT_OK(collectors_.RecordMounted(
-            uri, static_cast<int64_t>(i), rec.header, values,
-            rec.frame_stats.empty() ? nullptr : &rec.frame_stats,
-            static_cast<uint32_t>(decoded.size())));
-      }
+    // Harvest the record's value zone. A sparsely decoded record holds only
+    // the samples its zone let through; that zone is already in the store.
+    if (zone_maps_ != nullptr && !rec.sparse) {
+      const kernel::NumericAgg agg =
+          kernel::AggI32(rec.samples.data(), rec.samples.size());
+      zone_maps_->RecordMounted(
+          uri, static_cast<int64_t>(i), {agg.min, agg.max, agg.sum, agg.count},
+          rec.frame_stats.empty() ? nullptr : &rec.frame_stats,
+          static_cast<uint32_t>(decoded.size()));
     }
   }
   if (outcome != nullptr) {

@@ -9,7 +9,6 @@
 #include "core/cache_manager.h"
 #include "core/file_registry.h"
 #include "core/format_adapter.h"
-#include "core/stats_collector.h"
 #include "core/zone_map.h"
 #include "engine/expr.h"
 #include "exec/query_context.h"
@@ -21,10 +20,10 @@ namespace dex {
 /// that grew one boolean per optimization. The decision ladder, coarse to
 /// fine (each level only sees work the previous level let through):
 ///
-///   1. `file_level`  — skip mounting files whose complete derived metadata
-///      (DM) proves no sample lies in the predicate's value range (§5
-///      "Extending metadata"). Changes charged simulated I/O: skipped files
-///      are never read.
+///   1. `file_level`  — skip mounting files whose complete record zones (the
+///      rollup that also backs the DM table) prove no sample lies in the
+///      predicate's value range (§5 "Extending metadata"). Changes charged
+///      simulated I/O: skipped files are never read.
 ///   2. `record_level` — per-record zone maps: a record whose value zone is
 ///      disjoint from the range keeps its positional slot but its payload is
 ///      never decoded. CPU only; the whole file was already charged.
@@ -33,9 +32,11 @@ namespace dex {
 ///   4. `use_simd_kernels` — vectorize the residual filter/aggregate work on
 ///      whatever survived pruning (engine/kernel.h).
 ///
-/// `file_level` defaults off because it needs opt-in DM collection and
-/// changes the I/O accounting experiments compare; the CPU-only levels
-/// default on (results and charged I/O are bit-identical either way).
+/// `file_level` defaults off because it changes the I/O accounting
+/// experiments compare; the CPU-only levels default on (results and charged
+/// I/O are bit-identical either way). Every level reads the database's one
+/// ZoneMapStore, so with `DatabaseOptions::collect_zone_maps` off none of
+/// them has anything to consult.
 struct PruningOptions {
   bool file_level = false;
   bool record_level = true;
@@ -79,8 +80,8 @@ struct MountRetryPolicy {
 /// did through a caller-supplied MountOutcome, so concurrent mount tasks (and
 /// interleaved queries) each account their own work without races. Thread
 /// safety of a concurrent Mount reduces to that of the shared collaborators
-/// (registry health, cache, stats collectors, zone maps, simulated disk),
-/// which all synchronize internally.
+/// (registry health, cache, zone maps, simulated disk), which all
+/// synchronize internally.
 class Mounter {
  public:
   struct MountCounters {
@@ -131,18 +132,15 @@ class Mounter {
     void MergeFrom(const MountOutcome& o);
   };
 
-  /// `collectors` receive one RecordMounted event per record of every
-  /// mounted file (possibly concurrently across mounts); `zone_maps`, when
-  /// non-null, additionally powers record/frame pruning (it is normally also
-  /// one of the collectors, registered by the database).
-  Mounter(FileRegistry* registry, CacheManager* cache,
-          StatsCollectorSet collectors, ZoneMapStore* zone_maps,
+  /// `zone_maps`, when non-null, receives the value zone of every fully
+  /// decoded record of every mounted file (possibly concurrently across
+  /// mounts) and powers record/frame pruning.
+  Mounter(FileRegistry* registry, CacheManager* cache, ZoneMapStore* zone_maps,
           FormatAdapter* format,
           OnMountError on_error = OnMountError::kSalvage,
           MountRetryPolicy retry = MountRetryPolicy{})
       : registry_(registry),
         cache_(cache),
-        collectors_(std::move(collectors)),
         zone_maps_(zone_maps),
         format_(format),
         on_error_(on_error),
@@ -199,7 +197,6 @@ class Mounter {
 
   FileRegistry* registry_;
   CacheManager* cache_;
-  StatsCollectorSet collectors_;
   ZoneMapStore* zone_maps_;  // may be null (zone maps disabled)
   FormatAdapter* format_;
   const OnMountError on_error_;

@@ -1,57 +1,39 @@
 #ifndef DEX_CORE_STATS_COLLECTOR_H_
 #define DEX_CORE_STATS_COLLECTOR_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "mseed/record.h"
 #include "mseed/scanner.h"
-#include "mseed/steim.h"
 
 namespace dex {
 
-/// \brief Value statistics of one decoded record — computed once by the
-/// mounter (or synthesized from a zone map when decode was skipped) and
-/// broadcast to every collector.
-struct RecordValueStats {
-  double min = 0;
-  double max = 0;
-  double sum = 0;
-  uint64_t count = 0;
-};
-
-/// \brief The one interface through which the two-stage machinery harvests
-/// statistics as a side effect of work it does anyway (paper §5: derived
-/// metadata "as a side-effect of ALi").
+/// \brief The one interface through which the stage-1 metadata scan feeds
+/// statistics harvested as a side effect of work it does anyway (paper §5:
+/// derived metadata "as a side-effect of ALi").
 ///
-/// Before this interface, every statistics consumer had its own seam:
-/// DerivedMetadata was hardwired into the mounter, coverage re-derived
-/// stream windows from the catalog's R table, informativeness fell back to
-/// scanning R, and nothing captured sub-record structure at all. Now the
-/// stage-1 scanner and the mounter drive a StatsCollectorSet, and each
-/// consumer — derived metadata (DM), coverage (GAPS/OVERLAPS), the
-/// informativeness index, zone maps — is a collector behind this interface.
+/// The Stage1Scanner drives a StatsCollectorSet; each consumer — coverage
+/// (GAPS/OVERLAPS), the informativeness index, zone maps — is a collector
+/// behind this interface. Stage 2 has a single harvest target, so the
+/// Mounter writes record zones straight into the ZoneMapStore, which also
+/// serves DM and file-level pruning (core/zone_map.h).
 ///
 /// ## Delivery contract
 ///
-///  - Stage 1 events (`ScanStarted`/`FileScanned`/`ScanFinished`) are
-///    delivered from the scan coordinator thread only, in repository
-///    enumeration order, *including* files whose metadata was reused from
-///    the baseline — so a collector always sees the complete repository
-///    picture, deterministically, at any worker count. Implementations need
-///    no locking against other stage-1 events.
-///  - `RecordMounted` is delivered from mount tasks, possibly concurrently;
-///    implementations must synchronize internally. Events for the records
-///    of one file arrive in record order from that file's mount task.
+///  - Events (`ScanStarted`/`FileScanned`/`ScanFinished`) are delivered from
+///    the scan coordinator thread only, in repository enumeration order,
+///    *including* files whose metadata was reused from the baseline — so a
+///    collector always sees the complete repository picture,
+///    deterministically, at any worker count. Implementations need no
+///    locking against other stage-1 events.
 ///  - A collector must tolerate redundant delivery: the same file may be
-///    re-scanned on refresh and the same record re-mounted by later queries.
+///    re-scanned on refresh.
 class StatsCollector {
  public:
   virtual ~StatsCollector() = default;
 
-  /// Short name for diagnostics and metrics ("derived", "zonemap", ...).
+  /// Short name for diagnostics and metrics ("coverage", "zonemap", ...).
   virtual std::string name() const = 0;
 
   /// A stage-1 scan pass over `root` is beginning.
@@ -70,29 +52,11 @@ class StatsCollector {
   /// All FileScanned events of the pass have been delivered. Files present
   /// in an earlier pass but absent from this one were removed.
   virtual Status ScanFinished() { return Status::OK(); }
-
-  /// Stage 2: record `record_id` of `uri` was mounted. `values` summarizes
-  /// its sample values; `frames` carries per-Steim-frame stats when the
-  /// decode harvested them (null otherwise); `expected_records` is the
-  /// file's record count from stage 1. Thread-safe.
-  virtual Status RecordMounted(const std::string& uri, int64_t record_id,
-                               const mseed::RecordHeader& header,
-                               const RecordValueStats& values,
-                               const std::vector<mseed::Steim1::FrameStat>* frames,
-                               uint32_t expected_records) {
-    (void)uri;
-    (void)record_id;
-    (void)header;
-    (void)values;
-    (void)frames;
-    (void)expected_records;
-    return Status::OK();
-  }
 };
 
 /// \brief An ordered set of collectors, broadcast to in registration order.
-/// Non-owning; the database owns the collectors and outlives the set's
-/// users (scanner, mounter). Copyable so components can hold it by value.
+/// Non-owning; the database owns the collectors and outlives the scanner.
+/// Copyable so the scanner can hold it by value.
 class StatsCollectorSet {
  public:
   void Register(StatsCollector* collector) {
@@ -114,18 +78,6 @@ class StatsCollectorSet {
   Status ScanFinished() const {
     for (StatsCollector* c : collectors_) {
       DEX_RETURN_NOT_OK(c->ScanFinished());
-    }
-    return Status::OK();
-  }
-
-  Status RecordMounted(const std::string& uri, int64_t record_id,
-                       const mseed::RecordHeader& header,
-                       const RecordValueStats& values,
-                       const std::vector<mseed::Steim1::FrameStat>* frames,
-                       uint32_t expected_records) const {
-    for (StatsCollector* c : collectors_) {
-      DEX_RETURN_NOT_OK(c->RecordMounted(uri, record_id, header, values,
-                                         frames, expected_records));
     }
     return Status::OK();
   }

@@ -120,7 +120,7 @@ Result<std::vector<FileDecision>> TwoStageExecutor::DecideFiles(
   const CachedWindow query_window = SummarizeTimeWindow(d_predicate);
   double value_lo = 0, value_hi = 0;
   const bool value_bounded =
-      opts.pruning.file_level && derived_ != nullptr &&
+      opts.pruning.file_level && zone_maps_ != nullptr &&
       ExtractBounds(d_predicate, "sample_value", &value_lo, &value_hi);
 
   std::vector<FileDecision> decisions;
@@ -130,7 +130,8 @@ Result<std::vector<FileDecision>> TwoStageExecutor::DecideFiles(
     d.uri = uri;
     DEX_ASSIGN_OR_RETURN(FileRegistry::Entry entry, registry_->Get(uri));
     const int64_t mtime = FileMtimeMillis(uri).ValueOr(entry.mtime_ms);
-    if (value_bounded && !derived_->MayMatchValueRange(uri, value_lo, value_hi)) {
+    if (value_bounded &&
+        !zone_maps_->MayMatchValueRange(uri, value_lo, value_hi)) {
       d.action = FileDecision::Action::kSkip;
     } else if (cache_ != nullptr &&
                cache_->Probe(uri,

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/cache_manager.h"
-#include "core/derived_metadata.h"
 #include "core/file_registry.h"
 #include "core/informativeness.h"
 #include "core/mounter.h"
@@ -207,15 +206,18 @@ class TwoStageExecutor {
   /// on the same workers. The deterministic time model is unaffected: charged
   /// time comes from list-scheduling task buckets onto
   /// `TwoStageOptions::num_threads` lanes, not from the pool's real size.
+  ///
+  /// `zone_maps`, when non-null, backs file-level pruning
+  /// (PruningOptions::file_level) with its complete files' record zones.
   TwoStageExecutor(Catalog* catalog, FileRegistry* registry, CacheManager* cache,
-                   Mounter* mounter, DerivedMetadata* derived,
+                   Mounter* mounter, const ZoneMapStore* zone_maps,
                    TwoStageOptions options, ThreadPool* shared_pool = nullptr,
                    const InformativenessIndex* info_index = nullptr)
       : catalog_(catalog),
         registry_(registry),
         cache_(cache),
         mounter_(mounter),
-        derived_(derived),
+        zone_maps_(zone_maps),
         info_index_(info_index),
         options_(options),
         shared_pool_(shared_pool) {}
@@ -309,7 +311,7 @@ class TwoStageExecutor {
   FileRegistry* registry_;
   CacheManager* cache_;
   Mounter* mounter_;
-  DerivedMetadata* derived_;
+  const ZoneMapStore* zone_maps_;  // may be null (zone maps disabled)
   // Stage-1-harvested record windows backing the breakpoint estimate when
   // Q_f carries no record-level columns (may be null: estimate degrades).
   const InformativenessIndex* info_index_;

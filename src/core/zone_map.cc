@@ -6,6 +6,7 @@
 
 #include "common/fnv.h"
 #include "common/logging.h"
+#include "core/seismic_schema.h"
 #include "io/file_io.h"
 #include "obs/flight_recorder.h"
 
@@ -185,12 +186,10 @@ void ZoneMapStore::FileScanned(const mseed::FileMeta& file,
   }
 }
 
-Status ZoneMapStore::RecordMounted(
-    const std::string& uri, int64_t record_id,
-    const mseed::RecordHeader& header, const RecordValueStats& values,
+void ZoneMapStore::RecordMounted(
+    const std::string& uri, int64_t record_id, const RecordValueStats& values,
     const std::vector<mseed::Steim1::FrameStat>* frames,
     uint32_t expected_records) {
-  (void)header;
   std::lock_guard<std::mutex> lock(mu_);
   FileZones& fz = files_[uri];
   if (fz.expected_records == 0) fz.expected_records = expected_records;
@@ -203,14 +202,13 @@ Status ZoneMapStore::RecordMounted(
       it->second.frames = *frames;
       dirty_ = true;
     }
-    return Status::OK();
+    return;
   }
   RecordZone zone;
   zone.values = values;
   if (frames != nullptr) zone.frames = *frames;
   fz.records.emplace(record_id, std::move(zone));
   dirty_ = true;
-  return Status::OK();
 }
 
 std::unique_ptr<mseed::RecordPruner> ZoneMapStore::MakePruner(
@@ -227,23 +225,65 @@ std::unique_ptr<mseed::RecordPruner> ZoneMapStore::MakePruner(
                                           record_level, frame_level, harvest);
 }
 
-bool ZoneMapStore::GetRecordStats(const std::string& uri, int64_t record_id,
-                                  RecordValueStats* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(uri);
-  if (it == files_.end()) return false;
-  auto rit = it->second.records.find(record_id);
-  if (rit == it->second.records.end()) return false;
-  *out = rit->second.values;
-  return true;
-}
-
 bool ZoneMapStore::HasCompleteFile(const std::string& uri) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(uri);
-  if (it == files_.end()) return false;
-  const FileZones& fz = it->second;
-  return fz.expected_records > 0 && fz.records.size() == fz.expected_records;
+  return it != files_.end() && it->second.complete();
+}
+
+bool ZoneMapStore::MayMatchValueRange(const std::string& uri, double lo,
+                                      double hi) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = files_.find(uri);
+  if (it == files_.end() || !it->second.complete()) return true;
+  for (const auto& rz : it->second.records) {
+    const RecordValueStats& v = rz.second.values;
+    if (v.count > 0 && v.max >= lo && v.min <= hi) return true;
+  }
+  return false;
+}
+
+Result<TablePtr> ZoneMapStore::BuildDerivedTable() const {
+  auto table = std::make_shared<Table>(kDerivedTableName, MakeDerivedSchema());
+  size_t total = 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  // Column at a time, one growth per column per file.
+  for (const FileEntry* kv : SortedFilesLocked()) {
+    const size_t n = kv->second.records.size();
+    table->mutable_column(0)->AppendStringRun(kv->first, n);
+    int64_t* ids = table->mutable_column(1)->AppendInt64Slots(n);
+    double* mins = table->mutable_column(2)->AppendDoubleSlots(n);
+    double* maxs = table->mutable_column(3)->AppendDoubleSlots(n);
+    double* means = table->mutable_column(4)->AppendDoubleSlots(n);
+    double* sums = table->mutable_column(5)->AppendDoubleSlots(n);
+    int64_t* counts = table->mutable_column(6)->AppendInt64Slots(n);
+    for (const auto& [record_id, zone] : kv->second.records) {
+      const RecordValueStats& v = zone.values;
+      *ids++ = record_id;
+      *mins++ = v.min;
+      *maxs++ = v.max;
+      *means++ = v.count > 0 ? v.sum / static_cast<double>(v.count) : 0.0;
+      *sums++ = v.sum;
+      *counts++ = static_cast<int64_t>(v.count);
+    }
+    total += n;
+  }
+  DEX_RETURN_NOT_OK(table->CommitAppendedRows(total));
+  return table;
+}
+
+std::vector<const ZoneMapStore::FileEntry*> ZoneMapStore::SortedFilesLocked()
+    const {
+  std::vector<const FileEntry*> entries;
+  entries.reserve(files_.size());
+  for (const FileEntry& kv : files_) {
+    if (!kv.second.records.empty()) entries.push_back(&kv);
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const FileEntry* a, const FileEntry* b) {
+              return a->first < b->first;
+            });
+  return entries;
 }
 
 Status ZoneMapStore::SaveIfDirty(const std::string& path) {
@@ -253,15 +293,9 @@ Status ZoneMapStore::SaveIfDirty(const std::string& path) {
     if (!dirty_) return Status::OK();
     out.append(kMagic, sizeof(kMagic));
     // Deterministic bytes: uris sorted, records already ordered by id.
-    std::vector<const std::pair<const std::string, FileZones>*> entries;
-    entries.reserve(files_.size());
-    for (const auto& kv : files_) {
-      if (!kv.second.records.empty()) entries.push_back(&kv);
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
+    const std::vector<const FileEntry*> entries = SortedFilesLocked();
     PutU64(&out, entries.size());
-    for (const auto* kv : entries) {
+    for (const FileEntry* kv : entries) {
       const FileZones& fz = kv->second;
       PutStr(&out, kv->first);
       PutU64(&out, fz.size_bytes);

@@ -13,39 +13,50 @@
 #include "core/stats_collector.h"
 #include "mseed/reader.h"
 #include "mseed/steim.h"
+#include "storage/table.h"
 
 namespace dex {
 
-/// \brief Per-record and per-Steim-frame min/max zone maps, harvested for
-/// free while mount decodes records anyway (StatsCollector::RecordMounted),
-/// and consulted by later mounts to skip decode work the predicate has
-/// already excluded.
+/// \brief Value statistics of one fully decoded record.
+struct RecordValueStats {
+  double min = 0;
+  double max = 0;
+  double sum = 0;
+  uint64_t count = 0;
+};
+
+/// \brief The one store of per-record statistics: per-record and
+/// per-Steim-frame min/max zone maps, harvested for free while mount decodes
+/// records anyway (the Mounter calls RecordMounted), and read three ways:
 ///
-/// Two pruning granularities:
-///  - *record-level*: a record whose [min,max] value zone is disjoint from
-///    the predicate's sample_value bounds is dropped before its payload is
-///    touched (it keeps a positional placeholder slot so record ids stay
-///    stable, and its DM row is synthesized from the zone so derived
-///    metadata is invariant under pruning);
-///  - *frame-level* (Steim1 only): per-64-byte-frame stats let the decoder
-///    unpack only frames that may contain matching samples, resuming the
-///    integration chain from each frame's recorded entry value.
+///  - *record-level* pruning: a record whose [min,max] value zone is
+///    disjoint from the predicate's sample_value bounds is dropped before
+///    its payload is touched (it keeps a positional placeholder slot so
+///    record ids stay stable);
+///  - *frame-level* pruning (Steim1 only): per-64-byte-frame stats let the
+///    decoder unpack only frames that may contain matching samples,
+///    resuming the integration chain from each frame's recorded entry value;
+///  - derived metadata (paper §5): the queryable DM table is built from the
+///    record zones (BuildDerivedTable), and file-level pruning is a rollup
+///    over a complete file's record zones (MayMatchValueRange).
 ///
 /// ## Safety ladder
-/// A zone map is a performance hint, never a correctness dependency:
+/// A zone map is a hint validated against the stage-1 scan:
 ///  1. FileScanned drops a file's zones when its size/mtime identity
-///     changed (stale after rewrite).
+///     changed (stale after rewrite) — at Open and at every Refresh, so
+///     every reader above sees the same staleness rule.
 ///  2. Persisted zone maps carry an FNV-1a checksum; any corruption or
 ///     format violation discards the whole persisted set (counted, logged).
 ///  3. Even a wrong-but-plausible frame zone is caught at decode time: the
 ///     selective Steim1 decode verifies the entry/exit integration chain
 ///     and falls back to a full decode on mismatch (PruneStats::fallbacks).
-/// The worst a bad zone map can cost is decode work, never wrong rows.
+/// A file rewritten after the last scan is not detected until the next
+/// Refresh — the same window in which its F/R rows are stale.
 ///
 /// Thread-safe: stage-1 events arrive from the scan coordinator, record
-/// zones from concurrent mount tasks, pruners from concurrent query
-/// sessions. One mutex guards everything; MakePruner snapshots (copies) the
-/// file's zones so a pruner never races later updates.
+/// zones from concurrent mount tasks, pruners and DM builds from concurrent
+/// query sessions. One mutex guards everything; MakePruner snapshots
+/// (copies) the file's zones so a pruner never races later updates.
 class ZoneMapStore : public StatsCollector {
  public:
   /// Value zone of one record, plus its per-frame stats when the record's
@@ -70,11 +81,18 @@ class ZoneMapStore : public StatsCollector {
   std::string name() const override { return "zonemap"; }
   void FileScanned(const mseed::FileMeta& file,
                    const std::vector<mseed::RecordMeta>& records) override;
-  Status RecordMounted(const std::string& uri, int64_t record_id,
-                       const mseed::RecordHeader& header,
-                       const RecordValueStats& values,
-                       const std::vector<mseed::Steim1::FrameStat>* frames,
-                       uint32_t expected_records) override;
+
+  // Harvest -------------------------------------------------------------
+
+  /// Record `record_id` of `uri` was fully decoded by a mount (possibly
+  /// concurrently with other mounts). `frames` carries per-Steim-frame stats
+  /// when the decode harvested them (null otherwise); `expected_records` is
+  /// the file's record count as the mount saw it (stage 1's count wins).
+  /// Idempotent per (uri, record_id): a re-mount only adds missing frames.
+  void RecordMounted(const std::string& uri, int64_t record_id,
+                     const RecordValueStats& values,
+                     const std::vector<mseed::Steim1::FrameStat>* frames,
+                     uint32_t expected_records);
 
   // Query side ----------------------------------------------------------
 
@@ -89,14 +107,19 @@ class ZoneMapStore : public StatsCollector {
                                                   bool frame_level,
                                                   bool harvest = true) const;
 
-  /// Record-level zone lookup, used to synthesize the DM row of a record
-  /// whose decode was skipped. False when no zone is held.
-  bool GetRecordStats(const std::string& uri, int64_t record_id,
-                      RecordValueStats* out) const;
-
   /// True when every record of `uri` has a zone (given stage 1 reported
   /// `expected_records` for it).
   bool HasCompleteFile(const std::string& uri) const;
+
+  /// File-level pruning: false only when `uri`'s zones are complete and no
+  /// record holding samples has a [min, max] that intersects [lo, hi].
+  /// Unknown or partially known files return true (must mount).
+  bool MayMatchValueRange(const std::string& uri, double lo, double hi) const;
+
+  /// The DM table (kDerivedTableName) as of now: one row per record zone,
+  /// in URI then record-id order, so its row order is independent of the
+  /// order mounts ran in. A fresh table each call — the caller owns it.
+  Result<TablePtr> BuildDerivedTable() const;
 
   // Persistence ---------------------------------------------------------
 
@@ -119,7 +142,15 @@ class ZoneMapStore : public StatsCollector {
     int64_t mtime_ms = 0;
     uint32_t expected_records = 0;
     std::map<int64_t, RecordZone> records;  // ordered for determinism
+
+    bool complete() const {
+      return expected_records > 0 && records.size() == expected_records;
+    }
   };
+  using FileEntry = std::pair<const std::string, FileZones>;
+
+  /// Files holding at least one record zone, in URI order. Requires mu_.
+  std::vector<const FileEntry*> SortedFilesLocked() const;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, FileZones> files_;

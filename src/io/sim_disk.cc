@@ -21,6 +21,20 @@ std::string IoStats::ToString() const {
 thread_local uint64_t* SimDisk::tls_sim_nanos_sink_ = nullptr;
 thread_local uint64_t* SimDisk::tls_query_sink_ = nullptr;
 
+SimDisk::TaskTimeScope::TaskTimeScope(uint64_t* sink)
+    : prev_(tls_sim_nanos_sink_) {
+  tls_sim_nanos_sink_ = sink;
+}
+
+SimDisk::TaskTimeScope::~TaskTimeScope() { tls_sim_nanos_sink_ = prev_; }
+
+SimDisk::QueryTimeScope::QueryTimeScope(uint64_t* sink)
+    : prev_(tls_query_sink_) {
+  tls_query_sink_ = sink;
+}
+
+SimDisk::QueryTimeScope::~QueryTimeScope() { tls_query_sink_ = prev_; }
+
 SimDisk::SimDisk(const Options& options)
     : options_(options), injector_(options.faults) {
   DEX_CHECK_GT(options_.page_bytes, 0u);

@@ -66,10 +66,8 @@ class SimDisk {
   /// needed to read it after the owning task finished.
   class TaskTimeScope {
    public:
-    explicit TaskTimeScope(uint64_t* sink) : prev_(tls_sim_nanos_sink_) {
-      tls_sim_nanos_sink_ = sink;
-    }
-    ~TaskTimeScope() { tls_sim_nanos_sink_ = prev_; }
+    explicit TaskTimeScope(uint64_t* sink);
+    ~TaskTimeScope();
 
     TaskTimeScope(const TaskTimeScope&) = delete;
     TaskTimeScope& operator=(const TaskTimeScope&) = delete;
@@ -91,10 +89,8 @@ class SimDisk {
   /// queries charge — the global start/end diff is not.
   class QueryTimeScope {
    public:
-    explicit QueryTimeScope(uint64_t* sink) : prev_(tls_query_sink_) {
-      tls_query_sink_ = sink;
-    }
-    ~QueryTimeScope() { tls_query_sink_ = prev_; }
+    explicit QueryTimeScope(uint64_t* sink);
+    ~QueryTimeScope();
 
     QueryTimeScope(const QueryTimeScope&) = delete;
     QueryTimeScope& operator=(const QueryTimeScope&) = delete;
@@ -193,7 +189,9 @@ class SimDisk {
   Status ResizeLocked(ObjectId id, uint64_t new_size);
   Status ReadLocked(ObjectId id, uint64_t offset, uint64_t length);
 
-  // Where this thread's sim-time charges land (null = global stats).
+  // Where this thread's sim-time charges land (null = global stats). Both
+  // sinks are touched only in sim_disk.cc: inline accesses from other
+  // translation units trip UBSan's null check on the thread_local wrapper.
   static thread_local uint64_t* tls_sim_nanos_sink_;
   // Per-query tee for charges that land on the global clock (null = none).
   static thread_local uint64_t* tls_query_sink_;

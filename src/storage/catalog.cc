@@ -20,35 +20,51 @@ Status Catalog::AddTable(TablePtr table, TableKind kind) {
   return Status::OK();
 }
 
-Status Catalog::ReplaceTable(TablePtr table) {
-  DEX_CHECK(table != nullptr);
-  auto it = entries_.find(table->name());
+Result<Catalog::Entry*> Catalog::ReplaceableEntry(const Table& table) {
+  auto it = entries_.find(table.name());
   if (it == entries_.end()) {
-    return Status::NotFound("no table '" + table->name() + "' to replace");
+    return Status::NotFound("no table '" + table.name() + "' to replace");
   }
-  Entry& entry = it->second;
-  const Schema& old_schema = *entry.table->schema();
-  const Schema& new_schema = *table->schema();
+  const Schema& old_schema = *it->second.table->schema();
+  const Schema& new_schema = *table.schema();
   if (old_schema.num_fields() != new_schema.num_fields()) {
-    return Status::InvalidArgument("replacement for '" + table->name() +
+    return Status::InvalidArgument("replacement for '" + table.name() +
                                    "' has a different schema width");
   }
   for (size_t i = 0; i < old_schema.num_fields(); ++i) {
     if (old_schema.field(i).type != new_schema.field(i).type) {
-      return Status::InvalidArgument("replacement for '" + table->name() +
+      return Status::InvalidArgument("replacement for '" + table.name() +
                                      "' changes column types");
     }
   }
+  return &it->second;
+}
+
+Status Catalog::ReplaceTable(TablePtr table) {
+  DEX_CHECK(table != nullptr);
+  DEX_ASSIGN_OR_RETURN(Entry * entry, ReplaceableEntry(*table));
   // Drop references only — do not Unregister: a snapshot clone of this
   // catalog (an older epoch still serving a query) may share the old table's
   // storage and index objects and still charge reads against them. The stale
   // objects stay registered on the SimDisk until process exit; their pages
   // age out of the buffer pool through ordinary LRU pressure.
-  entry.indexes.clear();
-  entry.index_storage.clear();
-  entry.table = std::move(table);
-  entry.storage = disk_->Register("table:" + it->first, 0);
-  return SyncStorageSize(it->first);
+  const std::string name = table->name();
+  entry->indexes.clear();
+  entry->index_storage.clear();
+  entry->table = std::move(table);
+  entry->storage = disk_->Register("table:" + name, 0);
+  return SyncStorageSize(name);
+}
+
+Status Catalog::SwapTable(TablePtr table) {
+  DEX_CHECK(table != nullptr);
+  DEX_ASSIGN_OR_RETURN(Entry * entry, ReplaceableEntry(*table));
+  if (!entry->indexes.empty()) {
+    return Status::InvalidArgument("cannot swap indexed table '" +
+                                   table->name() + "'");
+  }
+  entry->table = std::move(table);
+  return Status::OK();
 }
 
 std::unique_ptr<Catalog> Catalog::Clone() const {

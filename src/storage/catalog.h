@@ -59,6 +59,13 @@ class Catalog {
   /// Database::Refresh() to adopt rescanned metadata.
   Status ReplaceTable(TablePtr table);
 
+  /// Points an existing entry at `table` (same schema width and types) and
+  /// changes nothing else: the entry keeps its storage object and size, so
+  /// nothing is registered on or written to the SimDisk and the buffer pool
+  /// is untouched. For per-query views swapped into a private Clone() —
+  /// Database builds the DM table this way. Fails on an indexed entry.
+  Status SwapTable(TablePtr table);
+
   /// A shallow snapshot copy: shares the (immutable) tables, indexes, and
   /// storage objects of this catalog. Mutating the clone via ReplaceTable /
   /// AddTable / BuildIndex never alters this instance.
@@ -99,6 +106,9 @@ class Catalog {
   SimDisk* disk() const { return disk_; }
 
  private:
+  /// The entry `table` may replace: same name, schema width and types.
+  Result<Entry*> ReplaceableEntry(const Table& table);
+
   SimDisk* disk_;
   std::map<std::string, Entry> entries_;
 };

@@ -52,8 +52,8 @@ TEST(FaultTolerance, TransientFaultsAreInvisibleUnderRetry) {
     ASSERT_TRUE(c.ok()) << c.status().ToString();
     ASSERT_TRUE(f.ok()) << f.status().ToString();
     EXPECT_EQ(CanonicalRows(*c->table), CanonicalRows(*f->table)) << sql;
-    EXPECT_EQ(f->stats.files_failed, 0u) << sql;
-    EXPECT_EQ(f->stats.files_skipped, 0u) << sql;
+    EXPECT_EQ(f->stats.mount.files_failed, 0u) << sql;
+    EXPECT_EQ(f->stats.mount.files_skipped, 0u) << sql;
   }
   // Nothing was quarantined: transient faults are absorbed, not punished.
   auto q = (*faulty)->Query("SELECT COUNT(*) FROM QUARANTINE");
@@ -76,13 +76,13 @@ TEST(FaultTolerance, RetriesAreCountedAndChargedAsSimulatedTime) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // 100 cold file reads at 10% failure: some retries must have happened,
   // and every one of them succeeded within the budget.
-  EXPECT_GT(r->stats.read_retries, 0u);
-  EXPECT_EQ(r->stats.files_failed, 0u);
+  EXPECT_GT(r->stats.mount.read_retries, 0u);
+  EXPECT_EQ(r->stats.mount.files_failed, 0u);
   EXPECT_EQ(r->stats.mount.mounts, 100u);
 
   // Backoff is simulated wall time: with the default 2ms base, each retry
   // charges at least 2ms to the simulated medium.
-  EXPECT_GE(r->stats.sim_io_nanos, r->stats.read_retries * 2'000'000ull);
+  EXPECT_GE(r->stats.sim_io_nanos, r->stats.mount.read_retries * 2'000'000ull);
 }
 
 TEST(FaultTolerance, LatencySpikesChargeSimulatedTime) {
@@ -138,7 +138,7 @@ TEST(FaultTolerance, PermanentFailuresQuarantineAndDegrade) {
   // The query degrades gracefully: partial result, 3 failures, warnings.
   auto degraded = db->Query(kCountAll);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_EQ(degraded->stats.files_failed, 3u);
+  EXPECT_EQ(degraded->stats.mount.files_failed, 3u);
   EXPECT_EQ(degraded->table->GetValue(0, 0).int64(), total - lost_rows);
   EXPECT_GE(degraded->stats.warnings.size(), 3u);
 
@@ -161,8 +161,8 @@ TEST(FaultTolerance, PermanentFailuresQuarantineAndDegrade) {
   // mounts nothing bad, wastes no retries on it, and reports no failure.
   auto rerun = db->Query(kCountAll);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-  EXPECT_EQ(rerun->stats.files_failed, 0u);
-  EXPECT_EQ(rerun->stats.read_retries, 0u);
+  EXPECT_EQ(rerun->stats.mount.files_failed, 0u);
+  EXPECT_EQ(rerun->stats.mount.read_retries, 0u);
   EXPECT_EQ(rerun->stats.two_stage.files_quarantined, 3u);
   EXPECT_EQ(rerun->table->GetValue(0, 0).int64(), total - lost_rows);
 }
@@ -230,8 +230,8 @@ TEST(FaultTolerance, SkipFilePolicyDropsCorruptFileWithoutQuarantine) {
 
   auto r = (*db)->Query(kCountAll);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->stats.files_skipped, 1u);
-  EXPECT_EQ(r->stats.files_failed, 0u);
+  EXPECT_EQ(r->stats.mount.files_skipped, 1u);
+  EXPECT_EQ(r->stats.mount.files_failed, 0u);
   ASSERT_FALSE(r->stats.warnings.empty());
   EXPECT_NE(r->stats.warnings[0].find(uris[0]), std::string::npos);
 
@@ -262,10 +262,10 @@ TEST(FaultTolerance, SalvagePolicyRecoversRecordsPastCorruption) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   auto r = (*db)->Query(kCountAll);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->stats.records_skipped, 1u);
-  EXPECT_GT(r->stats.records_salvaged, 0u);
-  EXPECT_EQ(r->stats.files_failed, 0u);
-  EXPECT_EQ(r->stats.files_skipped, 0u);
+  EXPECT_EQ(r->stats.mount.records_skipped, 1u);
+  EXPECT_GT(r->stats.mount.records_salvaged, 0u);
+  EXPECT_EQ(r->stats.mount.files_failed, 0u);
+  EXPECT_EQ(r->stats.mount.files_skipped, 0u);
   // Only the one corrupt record's samples are missing.
   EXPECT_LT(r->table->GetValue(0, 0).int64(), total);
   ASSERT_FALSE(r->stats.warnings.empty());

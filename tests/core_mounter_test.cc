@@ -58,7 +58,7 @@ class MounterTest : public ::testing::Test {
 };
 
 TEST_F(MounterTest, MountExtractsAllSamples) {
-  Mounter mounter(&registry_, &cache_, StatsCollectorSet{}, nullptr, &format_);
+  Mounter mounter(&registry_, &cache_, nullptr, &format_);
   Mounter::MountOutcome outcome;
   auto t = mounter.Mount(kDataTableName, uri_, nullptr, &outcome);
   ASSERT_TRUE(t.ok()) << t.status().ToString();
@@ -78,14 +78,14 @@ TEST_F(MounterTest, MountExtractsAllSamples) {
 }
 
 TEST_F(MounterTest, MountChargesSimulatedRead) {
-  Mounter mounter(&registry_, &cache_, StatsCollectorSet{}, nullptr, &format_);
+  Mounter mounter(&registry_, &cache_, nullptr, &format_);
   const uint64_t t0 = disk_.stats().sim_nanos;
   ASSERT_TRUE(mounter.Mount(kDataTableName, uri_, nullptr).ok());
   EXPECT_GT(disk_.stats().sim_nanos, t0);
 }
 
 TEST_F(MounterTest, FusedPredicateFilters) {
-  Mounter mounter(&registry_, &cache_, StatsCollectorSet{}, nullptr, &format_);
+  Mounter mounter(&registry_, &cache_, nullptr, &format_);
   const ExprPtr pred = Expr::Compare(
       CompareOp::kGt, Expr::ColumnRef("sample_value"),
       Expr::Lit(Value::Int64(5)));
@@ -95,7 +95,7 @@ TEST_F(MounterTest, FusedPredicateFilters) {
 }
 
 TEST_F(MounterTest, FileGranularCacheStoresWholeFileDespiteFusedPredicate) {
-  Mounter mounter(&registry_, &cache_, StatsCollectorSet{}, nullptr, &format_);
+  Mounter mounter(&registry_, &cache_, nullptr, &format_);
   const ExprPtr pred = Expr::Compare(
       CompareOp::kGt, Expr::ColumnRef("sample_value"),
       Expr::Lit(Value::Int64(5)));
@@ -111,7 +111,7 @@ TEST_F(MounterTest, FileGranularCacheStoresWholeFileDespiteFusedPredicate) {
 TEST_F(MounterTest, TupleGranularCacheStoresFilteredTuples) {
   CacheManager tuple_cache(CacheManager::Options{
       CachePolicy::kAll, CacheGranularity::kTuple, 1 << 30});
-  Mounter mounter(&registry_, &tuple_cache, StatsCollectorSet{}, nullptr, &format_);
+  Mounter mounter(&registry_, &tuple_cache, nullptr, &format_);
   const ExprPtr pred = Expr::Compare(
       CompareOp::kGt, Expr::ColumnRef("sample_value"),
       Expr::Lit(Value::Int64(5)));
@@ -206,8 +206,7 @@ TEST_F(MounterTest, FusedPredicateShapesAgreeWithAndWithoutKernels) {
       for (int kernels = 0; kernels < 2; ++kernels) {
         CacheManager cache(
             CacheManager::Options{CachePolicy::kAll, granularity, 1 << 30});
-        Mounter mounter(&registry_, &cache, StatsCollectorSet{}, nullptr,
-                        &format_);
+        Mounter mounter(&registry_, &cache, nullptr, &format_);
         PruningOptions pruning;
         pruning.use_simd_kernels = kernels == 1;
         auto t = mounter.Mount(kDataTableName, uri_, c.predicate, nullptr,
@@ -242,14 +241,14 @@ TEST_F(MounterTest, FusedPredicateShapesAgreeWithAndWithoutKernels) {
 }
 
 TEST_F(MounterTest, UnknownUriFails) {
-  Mounter mounter(&registry_, &cache_, StatsCollectorSet{}, nullptr, &format_);
+  Mounter mounter(&registry_, &cache_, nullptr, &format_);
   EXPECT_TRUE(mounter.Mount(kDataTableName, "/nope.mseed", nullptr)
                   .status()
                   .IsNotFound());
 }
 
 TEST_F(MounterTest, UnknownTableFails) {
-  Mounter mounter(&registry_, &cache_, StatsCollectorSet{}, nullptr, &format_);
+  Mounter mounter(&registry_, &cache_, nullptr, &format_);
   EXPECT_TRUE(
       mounter.Mount("X", uri_, nullptr).status().IsNotImplemented());
   EXPECT_TRUE(mounter.CacheLookup("X", uri_).status().IsNotImplemented());
@@ -257,7 +256,7 @@ TEST_F(MounterTest, UnknownTableFails) {
 
 TEST_F(MounterTest, VanishedFileSurfacesAsError) {
   // Under the strict policy errors propagate instead of degrading.
-  Mounter mounter(&registry_, &cache_, StatsCollectorSet{}, nullptr, &format_,
+  Mounter mounter(&registry_, &cache_, nullptr, &format_,
                   OnMountError::kFail);
   // Registered (stage 1 saw it) but deleted before stage 2 mounts it.
   ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
@@ -267,7 +266,7 @@ TEST_F(MounterTest, VanishedFileSurfacesAsError) {
 }
 
 TEST_F(MounterTest, CorruptFileSurfacesAsCorruption) {
-  Mounter mounter(&registry_, &cache_, StatsCollectorSet{}, nullptr, &format_,
+  Mounter mounter(&registry_, &cache_, nullptr, &format_,
                   OnMountError::kFail);
   std::string image;
   ASSERT_TRUE(ReadFileToString(uri_, &image).ok());
@@ -279,43 +278,39 @@ TEST_F(MounterTest, CorruptFileSurfacesAsCorruption) {
 }
 
 TEST_F(MounterTest, DerivedMetadataCollectedAsSideEffect) {
-  auto derived = DerivedMetadata::Create(&catalog_);
-  ASSERT_TRUE(derived.ok());
-  StatsCollectorSet collectors;
-  collectors.Register(derived->get());
-  Mounter mounter(&registry_, &cache_, collectors, nullptr, &format_);
+  ZoneMapStore zones;
+  Mounter mounter(&registry_, &cache_, &zones, &format_);
   ASSERT_TRUE(mounter.Mount(kDataTableName, uri_, nullptr).ok());
-  EXPECT_EQ((*derived)->num_records_covered(), 2u);
-  EXPECT_TRUE((*derived)->HasCompleteFile(uri_));
+  EXPECT_EQ(zones.GetStats().records, 2u);
+  EXPECT_TRUE(zones.HasCompleteFile(uri_));
   // Record 0 has samples 10..30; record 1 has -5..10. File range: [-5, 30].
-  EXPECT_TRUE((*derived)->MayMatchValueRange(uri_, 0, 100));
-  EXPECT_FALSE((*derived)->MayMatchValueRange(uri_, 31, 100));
-  EXPECT_FALSE((*derived)->MayMatchValueRange(uri_, -100, -6));
+  EXPECT_TRUE(zones.MayMatchValueRange(uri_, 0, 100));
+  EXPECT_FALSE(zones.MayMatchValueRange(uri_, 31, 100));
+  EXPECT_FALSE(zones.MayMatchValueRange(uri_, -100, -6));
   // The DM table is queryable with per-record stats.
-  const TablePtr dm = (*derived)->table();
-  ASSERT_EQ(dm->num_rows(), 2u);
-  EXPECT_DOUBLE_EQ(dm->GetValue(0, 2).dbl(), 10.0);  // min of record 0
-  EXPECT_DOUBLE_EQ(dm->GetValue(0, 3).dbl(), 30.0);  // max
-  EXPECT_DOUBLE_EQ(dm->GetValue(0, 4).dbl(), 20.0);  // mean
+  auto dm = zones.BuildDerivedTable();
+  ASSERT_TRUE(dm.ok()) << dm.status().ToString();
+  ASSERT_EQ((*dm)->num_rows(), 2u);
+  EXPECT_DOUBLE_EQ((*dm)->GetValue(0, 2).dbl(), 10.0);  // min of record 0
+  EXPECT_DOUBLE_EQ((*dm)->GetValue(0, 3).dbl(), 30.0);  // max
+  EXPECT_DOUBLE_EQ((*dm)->GetValue(0, 4).dbl(), 20.0);  // mean
 }
 
 TEST_F(MounterTest, DerivedMetadataIdempotentPerRecord) {
-  auto derived = DerivedMetadata::Create(&catalog_);
-  ASSERT_TRUE(derived.ok());
-  StatsCollectorSet collectors;
-  collectors.Register(derived->get());
-  Mounter mounter(&registry_, &cache_, collectors, nullptr, &format_);
+  ZoneMapStore zones;
+  Mounter mounter(&registry_, &cache_, &zones, &format_);
   ASSERT_TRUE(mounter.Mount(kDataTableName, uri_, nullptr).ok());
   ASSERT_TRUE(mounter.Mount(kDataTableName, uri_, nullptr).ok());
-  EXPECT_EQ((*derived)->num_records_covered(), 2u);
-  EXPECT_EQ((*derived)->table()->num_rows(), 2u);
+  EXPECT_EQ(zones.GetStats().records, 2u);
+  auto dm = zones.BuildDerivedTable();
+  ASSERT_TRUE(dm.ok()) << dm.status().ToString();
+  EXPECT_EQ((*dm)->num_rows(), 2u);
 }
 
 TEST_F(MounterTest, UnknownValueRangeFileMustMount) {
-  auto derived = DerivedMetadata::Create(&catalog_);
-  ASSERT_TRUE(derived.ok());
-  EXPECT_TRUE((*derived)->MayMatchValueRange("/never/seen", 0, 1));
-  EXPECT_FALSE((*derived)->HasCompleteFile("/never/seen"));
+  ZoneMapStore zones;
+  EXPECT_TRUE(zones.MayMatchValueRange("/never/seen", 0, 1));
+  EXPECT_FALSE(zones.HasCompleteFile("/never/seen"));
 }
 
 }  // namespace

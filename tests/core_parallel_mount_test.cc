@@ -62,8 +62,8 @@ TEST(ParallelMount, ResultsAreIdenticalAcrossThreadCounts) {
         << sql;
     EXPECT_EQ(s->stats.mount.samples_decoded, p->stats.mount.samples_decoded)
         << sql;
-    EXPECT_EQ(s->stats.files_failed, 0u) << sql;
-    EXPECT_EQ(p->stats.files_failed, 0u) << sql;
+    EXPECT_EQ(s->stats.mount.files_failed, 0u) << sql;
+    EXPECT_EQ(p->stats.mount.files_failed, 0u) << sql;
   }
   EXPECT_EQ(serial->registry()->num_quarantined(), 0u);
   EXPECT_EQ(parallel->registry()->num_quarantined(), 0u);
@@ -102,10 +102,10 @@ TEST(ParallelMount, TransientFaultOutcomesMatchAcrossThreadCounts) {
 
   // The fate of the k-th read of an object depends only on (seed, object, k),
   // so the retry schedule is identical no matter how tasks interleave.
-  EXPECT_GT(s->stats.read_retries, 0u);
-  EXPECT_EQ(s->stats.read_retries, p->stats.read_retries);
-  EXPECT_EQ(s->stats.files_failed, 0u);
-  EXPECT_EQ(p->stats.files_failed, 0u);
+  EXPECT_GT(s->stats.mount.read_retries, 0u);
+  EXPECT_EQ(s->stats.mount.read_retries, p->stats.mount.read_retries);
+  EXPECT_EQ(s->stats.mount.files_failed, 0u);
+  EXPECT_EQ(p->stats.mount.files_failed, 0u);
   EXPECT_EQ(serial->disk()->fault_injector()->stats().transient_faults,
             parallel->disk()->fault_injector()->stats().transient_faults);
 }
@@ -132,8 +132,8 @@ TEST(ParallelMount, PermanentFaultOutcomesMatchAcrossThreadCounts) {
   ASSERT_TRUE(s.ok()) << s.status().ToString();
   ASSERT_TRUE(p.ok()) << p.status().ToString();
   EXPECT_EQ(CanonicalRows(*s->table), CanonicalRows(*p->table));
-  EXPECT_EQ(s->stats.files_failed, 3u);
-  EXPECT_EQ(p->stats.files_failed, 3u);
+  EXPECT_EQ(s->stats.mount.files_failed, 3u);
+  EXPECT_EQ(p->stats.mount.files_failed, 3u);
   EXPECT_EQ(serial->registry()->num_quarantined(), 3u);
   EXPECT_EQ(parallel->registry()->num_quarantined(), 3u);
   // Warnings are merged at the wave barrier in task (= union branch) order,
@@ -167,10 +167,10 @@ TEST(ParallelMount, SalvageOutcomesMatchAcrossThreadCounts) {
   ASSERT_TRUE(s.ok()) << s.status().ToString();
   ASSERT_TRUE(p.ok()) << p.status().ToString();
   EXPECT_EQ(CanonicalRows(*s->table), CanonicalRows(*p->table));
-  EXPECT_EQ(s->stats.records_skipped, 1u);
-  EXPECT_EQ(p->stats.records_skipped, 1u);
-  EXPECT_GT(s->stats.records_salvaged, 0u);
-  EXPECT_EQ(s->stats.records_salvaged, p->stats.records_salvaged);
+  EXPECT_EQ(s->stats.mount.records_skipped, 1u);
+  EXPECT_EQ(p->stats.mount.records_skipped, 1u);
+  EXPECT_GT(s->stats.mount.records_salvaged, 0u);
+  EXPECT_EQ(s->stats.mount.records_salvaged, p->stats.mount.records_salvaged);
   EXPECT_EQ(s->stats.warnings, p->stats.warnings);
   EXPECT_EQ(serial->registry()->num_quarantined(), 0u);
   EXPECT_EQ(parallel->registry()->num_quarantined(), 0u);

@@ -24,7 +24,7 @@ class RewriteTest : public ::testing::Test {
         registry_(&disk_),
         cache_(CacheManager::Options{CachePolicy::kAll,
                                      CacheGranularity::kFile, 1 << 30}),
-        mounter_(&registry_, &cache_, StatsCollectorSet{}, nullptr, &format_) {
+        mounter_(&registry_, &cache_, nullptr, &format_) {
     EXPECT_TRUE(catalog_
                     .AddTable(std::make_shared<Table>("F", MakeFileSchema()),
                               TableKind::kMetadata)

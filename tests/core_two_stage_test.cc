@@ -294,7 +294,6 @@ TEST_F(TwoStageBehavior, DefaultPolicyRemountsEveryQuery) {
 
 TEST_F(TwoStageBehavior, DerivedPruningSkipsImpossibleFiles) {
   DatabaseOptions opts;
-  opts.collect_derived_metadata = true;
   opts.two_stage.pruning.file_level = true;
   auto db = Database::Open(repo_->root(), opts);
   ASSERT_TRUE(db.ok());
@@ -314,7 +313,6 @@ TEST_F(TwoStageBehavior, DerivedPruningSkipsImpossibleFiles) {
 
 TEST_F(TwoStageBehavior, DerivedMetadataTableIsQueryable) {
   DatabaseOptions opts;
-  opts.collect_derived_metadata = true;
   auto db = Database::Open(repo_->root(), opts);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)

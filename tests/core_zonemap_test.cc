@@ -12,22 +12,32 @@
 // full decode (discarded wholesale on checksum/format violations, dropped
 // per-file on identity change) — never wrong rows.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <atomic>
 #include <cstdio>
+#include <ctime>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
 #include "io/file_io.h"
+#include "mseed/reader.h"
+#include "mseed/writer.h"
 #include "test_util.h"
 
 namespace dex {
 namespace {
 
 using ::dex::testing::CanonicalRows;
+using ::dex::testing::RowStrings;
 using ::dex::testing::ScopedRepo;
 using ::dex::testing::SmallRepoOptions;
+using ::dex::testing::TinyRepoOptions;
 
 // Predicates spanning the selectivity spectrum of the synthetic waveforms
 // (noise is roughly +-60, seismic events reach thousands): everything,
@@ -83,8 +93,8 @@ RunOutcome RunTwice(const std::string& root, const std::string& sql,
     if (!result.ok()) return out;
     out.rows = CanonicalRows(*result->table);
     out.sim_io_nanos = result->stats.sim_io_nanos;
-    out.records_skipped = result->stats.records_skipped_zonemap;
-    out.frames_skipped = result->stats.frames_skipped_zonemap;
+    out.records_skipped = result->stats.mount.records_skipped_zonemap;
+    out.frames_skipped = result->stats.mount.frames_skipped_zonemap;
   }
   return out;
 }
@@ -179,8 +189,8 @@ TEST_F(ZoneMapPersistenceTest, PersistedZoneMapsPruneOnColdOpen) {
   auto result = (*db)->Query(sql);
   DEX_ASSERT_OK(result);
   EXPECT_EQ(CanonicalRows(*result->table), baseline);
-  EXPECT_GT(result->stats.records_skipped_zonemap +
-                result->stats.frames_skipped_zonemap,
+  EXPECT_GT(result->stats.mount.records_skipped_zonemap +
+                result->stats.mount.frames_skipped_zonemap,
             0u)
       << "the very first query after reload should prune from cold zones";
 }
@@ -260,13 +270,185 @@ TEST(ZoneMapOptions, PerQueryOverrideDisablesPruning) {
   off.pruning = PruningOff();
   auto unpruned = (*db)->Query(sql, off);
   DEX_ASSERT_OK(unpruned);
-  EXPECT_EQ(unpruned->stats.records_skipped_zonemap, 0u);
-  EXPECT_EQ(unpruned->stats.frames_skipped_zonemap, 0u);
+  EXPECT_EQ(unpruned->stats.mount.records_skipped_zonemap, 0u);
+  EXPECT_EQ(unpruned->stats.mount.frames_skipped_zonemap, 0u);
 
   auto pruned = (*db)->Query(sql);
   DEX_ASSERT_OK(pruned);
-  EXPECT_GT(pruned->stats.records_skipped_zonemap, 0u);
+  EXPECT_GT(pruned->stats.mount.records_skipped_zonemap, 0u);
   EXPECT_EQ(CanonicalRows(*pruned->table), CanonicalRows(*unpruned->table));
+}
+
+// -- Derived metadata (DM) and file-level pruning read the zone store --------
+
+const char* kMountAll = "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri";
+
+std::vector<std::string> FileUris(Database* db) {
+  auto result = db->Query("SELECT F.uri FROM F ORDER BY F.uri");
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<std::string> uris;
+  if (!result.ok()) return uris;
+  for (size_t r = 0; r < result->table->num_rows(); ++r) {
+    uris.push_back(result->table->GetValue(r, 0).str());
+  }
+  return uris;
+}
+
+int64_t CountAbove(Database* db, double threshold,
+                   const std::string& uri = "") {
+  std::string sql =
+      "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri WHERE D.sample_value > " +
+      std::to_string(threshold);
+  if (!uri.empty()) sql += " AND F.uri = '" + uri + "'";
+  auto result = db->Query(sql);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? result->table->GetValue(0, 0).int64() : -1;
+}
+
+/// Rewrites `path` in place with every sample scaled by `factor`, and moves
+/// its mtime a minute ahead so a Refresh sees the file as changed.
+void AmplifyFile(const std::string& path, int32_t factor) {
+  auto records = mseed::Reader::ReadAllRecords(path);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  std::vector<mseed::RecordData> out;
+  for (const mseed::DecodedRecord& rec : *records) {
+    mseed::RecordData data;
+    data.network = rec.header.network;
+    data.station = rec.header.station;
+    data.channel = rec.header.channel;
+    data.location = rec.header.location;
+    data.start_time_ms = rec.header.start_time_ms;
+    data.sample_rate_hz = rec.header.sample_rate_hz;
+    data.encoding = rec.header.encoding;
+    data.samples = rec.samples;
+    for (int32_t& v : data.samples) v *= factor;
+    out.push_back(std::move(data));
+  }
+  DEX_ASSERT_STATUS_OK(mseed::WriteFile(path, out));
+  struct timespec times[2];
+  times[0].tv_sec = ::time(nullptr) + 60;
+  times[0].tv_nsec = 0;
+  times[1] = times[0];
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
+}
+
+// Regression: file-level pruning used to keep a rewritten file's old value
+// range after Refresh, silently dropping the new file's matching rows.
+TEST(DerivedMetadataTest, RefreshDropsRewrittenFileRange) {
+  ScopedRepo repo("dm_stale_range", TinyRepoOptions());
+  DatabaseOptions options;
+  options.two_stage.pruning.file_level = true;
+  auto db = Database::Open(repo.root(), options);
+  DEX_ASSERT_OK(db);
+  DEX_ASSERT_OK((*db)->Query(kMountAll));  // every file's zones complete
+  const std::string target = FileUris(db->get()).at(0);
+  auto old_max = (*db)->Query(
+      "SELECT MAX(D.sample_value) FROM F JOIN D ON F.uri = D.uri "
+      "WHERE F.uri = '" + target + "'");
+  DEX_ASSERT_OK(old_max);
+  const double threshold = old_max->table->GetValue(0, 0).dbl() + 0.5;
+
+  AmplifyFile(target, 8);
+  auto refresh = (*db)->Refresh();
+  DEX_ASSERT_OK(refresh);
+  ASSERT_EQ(refresh->files_changed, 1u);
+
+  auto fresh = Database::Open(repo.root(), DatabaseOptions{});
+  DEX_ASSERT_OK(fresh);
+  ASSERT_GT(CountAbove(fresh->get(), threshold, target), 0)
+      << "the rewritten file must contribute rows above its old maximum";
+  EXPECT_EQ(CountAbove(db->get(), threshold),
+            CountAbove(fresh->get(), threshold));
+}
+
+TEST(DerivedMetadataTest, TableAndFilePruningSurviveRestart) {
+  ScopedRepo repo("dm_restart", TinyRepoOptions());
+  DatabaseOptions options;
+  options.zone_map_path = repo.root() + "/.zonemaps";
+  options.two_stage.pruning.file_level = true;
+  std::vector<std::string> before;
+  {
+    auto db = Database::Open(repo.root(), options);
+    DEX_ASSERT_OK(db);
+    DEX_ASSERT_OK((*db)->Query(kMountAll));
+    auto dm = (*db)->Query("SELECT * FROM DM");
+    DEX_ASSERT_OK(dm);
+    before = RowStrings(*dm->table);
+    ASSERT_EQ(before.size(), 24u);  // 8 files x 3 records
+  }
+  auto db = Database::Open(repo.root(), options);
+  DEX_ASSERT_OK(db);
+  auto dm = (*db)->Query("SELECT * FROM DM");
+  DEX_ASSERT_OK(dm);
+  EXPECT_EQ(RowStrings(*dm->table), before);
+  EXPECT_EQ(dm->stats.mount.mounts, 0u);
+
+  auto pruned = (*db)->Query(
+      "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri "
+      "WHERE D.sample_value > 99999999");
+  DEX_ASSERT_OK(pruned);
+  EXPECT_EQ(pruned->stats.mount.mounts, 0u);
+  EXPECT_EQ(pruned->stats.two_stage.files_pruned, 8u);
+  EXPECT_EQ(pruned->table->GetValue(0, 0).int64(), 0);
+}
+
+TEST(DerivedMetadataTest, RowOrderIsIndependentOfWorkerCount) {
+  ScopedRepo repo("dm_row_order", SmallRepoOptions());
+  std::vector<std::string> rows[2];
+  const size_t workers[2] = {1, 8};
+  for (int i = 0; i < 2; ++i) {
+    DatabaseOptions options;
+    options.two_stage.num_threads = workers[i];
+    auto db = Database::Open(repo.root(), options);
+    DEX_ASSERT_OK(db);
+    DEX_ASSERT_OK((*db)->Query(kMountAll));
+    auto dm = (*db)->Query("SELECT * FROM DM");
+    DEX_ASSERT_OK(dm);
+    rows[i] = RowStrings(*dm->table);
+  }
+  ASSERT_FALSE(rows[0].empty());
+  EXPECT_EQ(rows[0], rows[1]);
+}
+
+// One thread scans DM while another mounts files the scans have not seen:
+// each scan reads a private table built from the zone store, never a table
+// another thread appends to (the TSan leg checks the absence of a race).
+TEST(DerivedMetadataTest, ScanWhileAnotherQueryMounts) {
+  ScopedRepo repo("dm_concurrent", TinyRepoOptions());
+  auto db = Database::Open(repo.root(), DatabaseOptions{});
+  DEX_ASSERT_OK(db);
+  const std::vector<std::string> uris = FileUris(db->get());
+  ASSERT_EQ(uris.size(), 8u);
+
+  std::atomic<bool> done{false};
+  std::thread mounter([&] {
+    for (const std::string& uri : uris) {
+      auto r = (*db)->Query("SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri "
+                            "WHERE F.uri = '" + uri + "'");
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    }
+    done = true;
+  });
+  size_t last = 0;
+  for (bool finished = false; !finished;) {
+    finished = done.load();
+    auto dm = (*db)->Query("SELECT DM.uri, DM.record_id FROM DM");
+    ASSERT_TRUE(dm.ok()) << dm.status().ToString();
+    const Table& t = *dm->table;
+    EXPECT_GE(t.num_rows(), last) << "DM never loses rows while mounting";
+    last = t.num_rows();
+    for (size_t r = 1; r < t.num_rows(); ++r) {
+      const auto prev = std::make_pair(t.GetValue(r - 1, 0).str(),
+                                       t.GetValue(r - 1, 1).int64());
+      const auto cur =
+          std::make_pair(t.GetValue(r, 0).str(), t.GetValue(r, 1).int64());
+      EXPECT_LT(prev, cur) << "DM rows come in URI, then record-id order";
+    }
+  }
+  mounter.join();
+  auto dm = (*db)->Query("SELECT COUNT(*) FROM DM");
+  DEX_ASSERT_OK(dm);
+  EXPECT_EQ(dm->table->GetValue(0, 0).int64(), 24);
 }
 
 }  // namespace

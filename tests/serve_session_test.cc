@@ -314,7 +314,7 @@ TEST(SessionManager, ConcurrentQuarantineWritesConverge) {
   // Post-race queries are clean: the quarantined files are never reselected.
   auto rerun = (*db)->Query(kJoinSql);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-  EXPECT_EQ(rerun->stats.files_failed, 0u);
+  EXPECT_EQ(rerun->stats.mount.files_failed, 0u);
 }
 
 // ---------------------------------------------------------------------------

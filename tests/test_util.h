@@ -106,10 +106,9 @@ inline DualDatabase OpenDual(const std::string& root,
   return dual;
 }
 
-/// Renders a table as sorted rows of cell strings, so results can be
-/// compared independent of row order. Doubles are rounded to 9 significant
-/// digits to absorb summation-order differences.
-inline std::vector<std::string> CanonicalRows(const Table& table) {
+/// Renders a table as rows of cell strings, in table order. Doubles are
+/// rounded to 9 significant digits to absorb summation-order differences.
+inline std::vector<std::string> RowStrings(const Table& table) {
   std::vector<std::string> rows;
   rows.reserve(table.num_rows());
   for (size_t r = 0; r < table.num_rows(); ++r) {
@@ -127,6 +126,12 @@ inline std::vector<std::string> CanonicalRows(const Table& table) {
     }
     rows.push_back(std::move(row));
   }
+  return rows;
+}
+
+/// RowStrings, sorted, so results can be compared independent of row order.
+inline std::vector<std::string> CanonicalRows(const Table& table) {
+  std::vector<std::string> rows = RowStrings(table);
   std::sort(rows.begin(), rows.end());
   return rows;
 }
