@@ -732,8 +732,8 @@ Result<RefreshStats> Database::Refresh() {
   span.AddArg("files_scanned", static_cast<uint64_t>(stats.files_scanned));
   span.AddArg("files_reused", static_cast<uint64_t>(stats.files_reused));
   span.AddArg("epoch", stats.epoch);
-  // The scan's FileScanned events may have dropped stale zone maps (changed
-  // file identities); persist the trimmed set when configured.
+  // The scan may have dropped the zone maps of changed or removed files;
+  // persist the trimmed set when configured.
   SaveZoneMaps();
   PublishRefreshMetrics(stats);
   PublishIoMetrics(disk_->stats());

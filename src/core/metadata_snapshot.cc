@@ -1,9 +1,6 @@
 #include "core/metadata_snapshot.h"
 
-#include <cstring>
-#include <unordered_map>
-
-#include "common/fnv.h"
+#include "io/byte_codec.h"
 #include "io/file_io.h"
 
 namespace dex {
@@ -17,132 +14,47 @@ namespace {
 // snapshot is rewritten in the current format.
 constexpr char kMagic[8] = {'D', 'X', 'S', 'N', 'A', 'P', '0', '2'};
 
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
-
-void PutF64(std::string* out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutStr(std::string* out, const std::string& s) {
-  PutU64(out, s.size());
-  out->append(s);
-}
-
-class Cursor {
- public:
-  explicit Cursor(const std::string& data) : data_(data) {}
-
-  Status Need(size_t n) {
-    if (pos_ + n > data_.size()) {
-      return Status::Corruption("snapshot truncated at offset " +
-                                std::to_string(pos_));
-    }
-    return Status::OK();
-  }
-
-  Result<uint64_t> U64() {
-    DEX_RETURN_NOT_OK(Need(8));
-    uint64_t v;
-    std::memcpy(&v, data_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  Result<int64_t> I64() {
-    DEX_ASSIGN_OR_RETURN(uint64_t v, U64());
-    return static_cast<int64_t>(v);
-  }
-  Result<double> F64() {
-    DEX_RETURN_NOT_OK(Need(8));
-    double v;
-    std::memcpy(&v, data_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  Result<std::string> Str() {
-    DEX_ASSIGN_OR_RETURN(uint64_t n, U64());
-    if (n > data_.size()) return Status::Corruption("implausible string length");
-    DEX_RETURN_NOT_OK(Need(n));
-    std::string s = data_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  Status Skip(size_t n) {
-    DEX_RETURN_NOT_OK(Need(n));
-    pos_ += n;
-    return Status::OK();
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
-
 }  // namespace
 
 Status SaveSnapshot(const mseed::ScanResult& scan, const std::string& path) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  PutU64(&out, scan.files.size());
-  PutU64(&out, scan.records.size());
-  PutU64(&out, scan.total_bytes);
+  ByteWriter out;
+  out.Bytes(kMagic, sizeof(kMagic));
+  out.U64(scan.files.size());
+  out.U64(scan.records.size());
+  out.U64(scan.total_bytes);
   for (const mseed::FileMeta& f : scan.files) {
-    PutStr(&out, f.uri);
-    PutStr(&out, f.network);
-    PutStr(&out, f.station);
-    PutStr(&out, f.channel);
-    PutStr(&out, f.location);
-    PutU64(&out, f.size_bytes);
-    PutI64(&out, f.mtime_ms);
-    PutU64(&out, f.num_records);
+    out.Str(f.uri);
+    out.Str(f.network);
+    out.Str(f.station);
+    out.Str(f.channel);
+    out.Str(f.location);
+    out.U64(f.size_bytes);
+    out.I64(f.mtime_ms);
+    out.U64(f.num_records);
   }
   for (const mseed::RecordMeta& r : scan.records) {
-    PutStr(&out, r.uri);
-    PutI64(&out, r.record_id);
-    PutI64(&out, r.start_time_ms);
-    PutI64(&out, r.end_time_ms);
-    PutF64(&out, r.sample_rate_hz);
-    PutU64(&out, r.num_samples);
-    PutU64(&out, r.data_offset);
-    PutU64(&out, r.data_bytes);
+    out.Str(r.uri);
+    out.I64(r.record_id);
+    out.I64(r.start_time_ms);
+    out.I64(r.end_time_ms);
+    out.F64(r.sample_rate_hz);
+    out.U64(r.num_samples);
+    out.U64(r.data_offset);
+    out.U64(r.data_bytes);
   }
-  PutU64(&out, Fnv1a(out.data(), out.size()));  // seal the whole payload
-  return WriteFileAtomic(path, out);
+  out.Seal();
+  return WriteFileAtomic(path, out.bytes());
 }
 
 Result<mseed::ScanResult> LoadSnapshot(const std::string& path) {
   std::string data;
   DEX_RETURN_NOT_OK(ReadFileToString(path, &data));
-  if (data.size() < sizeof(kMagic) + 8 ||
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption("bad snapshot magic in '" + path + "'");
-  }
-  // Verify the trailing whole-payload checksum before believing any field:
-  // length-prefixed strings catch gross truncation, but a flipped bit inside
-  // a fixed-width field would otherwise parse "successfully" into wrong
-  // metadata.
-  {
-    const uint64_t want = Fnv1a(data.data(), data.size() - 8);
-    uint64_t got;
-    std::memcpy(&got, data.data() + data.size() - 8, 8);
-    if (want != got) {
-      return Status::Corruption("snapshot checksum mismatch in '" + path + "'");
-    }
-    data.resize(data.size() - 8);
-  }
-  Cursor cur(data);
-  DEX_RETURN_NOT_OK(cur.Skip(sizeof(kMagic)));
+  DEX_ASSIGN_OR_RETURN(ByteReader cur, Unseal(data, kMagic, "snapshot"));
   mseed::ScanResult scan;
-  DEX_ASSIGN_OR_RETURN(uint64_t num_files, cur.U64());
-  DEX_ASSIGN_OR_RETURN(uint64_t num_records, cur.U64());
+  // Every file and record entry is longer than one byte, so a count above
+  // the remaining length is damage, not a reason to allocate.
+  DEX_ASSIGN_OR_RETURN(uint64_t num_files, cur.Count(data.size()));
+  DEX_ASSIGN_OR_RETURN(uint64_t num_records, cur.Count(data.size()));
   DEX_ASSIGN_OR_RETURN(scan.total_bytes, cur.U64());
   scan.files.reserve(num_files);
   for (uint64_t i = 0; i < num_files; ++i) {
@@ -173,62 +85,8 @@ Result<mseed::ScanResult> LoadSnapshot(const std::string& path) {
     r.data_bytes = static_cast<uint32_t>(bytes);
     scan.records.push_back(std::move(r));
   }
-  if (!cur.AtEnd()) {
-    return Status::Corruption("trailing bytes in snapshot '" + path + "'");
-  }
+  DEX_RETURN_NOT_OK(cur.End());
   return scan;
-}
-
-Result<mseed::ScanResult> ReconcileScan(const std::string& root,
-                                        FormatAdapter* format,
-                                        const mseed::ScanResult& baseline,
-                                        ReconcileStats* stats) {
-  DEX_ASSIGN_OR_RETURN(std::vector<std::string> on_disk,
-                       ListFiles(root, format->file_extension()));
-
-  std::unordered_map<std::string, const mseed::FileMeta*> known;
-  for (const mseed::FileMeta& f : baseline.files) known.emplace(f.uri, &f);
-  std::unordered_map<std::string, std::vector<const mseed::RecordMeta*>>
-      known_records;
-  for (const mseed::RecordMeta& r : baseline.records) {
-    known_records[r.uri].push_back(&r);
-  }
-
-  mseed::ScanResult out;
-  size_t present = 0;
-  for (const std::string& uri : on_disk) {
-    auto it = known.find(uri);
-    bool unchanged = false;
-    if (it != known.end()) {
-      ++present;
-      auto size = FileSize(uri);
-      auto mtime = FileMtimeMillis(uri);
-      unchanged = size.ok() && mtime.ok() && *size == it->second->size_bytes &&
-                  *mtime == it->second->mtime_ms;
-    }
-    if (unchanged) {
-      out.files.push_back(*it->second);
-      for (const mseed::RecordMeta* r : known_records[uri]) {
-        out.records.push_back(*r);
-      }
-      out.total_bytes += it->second->size_bytes;
-      if (stats != nullptr) ++stats->files_reused;
-    } else {
-      DEX_ASSIGN_OR_RETURN(mseed::ScanResult one, format->ScanFile(uri));
-      out.files.insert(out.files.end(), one.files.begin(), one.files.end());
-      out.records.insert(out.records.end(), one.records.begin(),
-                         one.records.end());
-      out.total_bytes += one.total_bytes;
-      if (stats != nullptr) {
-        ++stats->files_rescanned;
-        stats->rescanned_uris.push_back(uri);
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->files_dropped = baseline.files.size() - present;
-  }
-  return out;
 }
 
 }  // namespace dex

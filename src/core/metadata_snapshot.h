@@ -2,10 +2,8 @@
 #define DEX_CORE_METADATA_SNAPSHOT_H_
 
 #include <string>
-#include <vector>
 
 #include "common/result.h"
-#include "core/format_adapter.h"
 #include "mseed/scanner.h"
 
 namespace dex {
@@ -16,31 +14,17 @@ namespace dex {
 ///
 /// ALi already avoids loading actual data; the remaining up-front cost is
 /// scanning every file's headers at Open(). A snapshot amortizes that across
-/// sessions: metadata is saved once, and later opens only stat() files,
-/// re-scanning just the ones whose (size, mtime) changed.
+/// sessions: metadata is saved once, and later opens hand it to the
+/// Stage1Scanner as its baseline, which only stat()s files and re-scans just
+/// the ones whose (size, mtime) changed.
 
 /// \brief Writes `scan` to `path` in a compact versioned binary form.
 Status SaveSnapshot(const mseed::ScanResult& scan, const std::string& path);
 
 /// \brief Reads a snapshot written by SaveSnapshot. Corruption (bad magic,
-/// truncation, count mismatches) is detected and reported.
+/// checksum mismatch, truncation, trailing bytes) is reported as
+/// Status::Corruption before any field is trusted.
 Result<mseed::ScanResult> LoadSnapshot(const std::string& path);
-
-/// \brief Statistics of a reconciliation pass.
-struct ReconcileStats {
-  size_t files_reused = 0;     // metadata taken from the snapshot
-  size_t files_rescanned = 0;  // changed or new: headers parsed again
-  size_t files_dropped = 0;    // in the snapshot but gone from disk
-  std::vector<std::string> rescanned_uris;  // the files actually touched
-};
-
-/// \brief Produces current metadata for `root` using `baseline` (a previous
-/// scan, e.g. from a snapshot) wherever files are unchanged, re-scanning
-/// only changed/new files through `format`.
-Result<mseed::ScanResult> ReconcileScan(const std::string& root,
-                                        FormatAdapter* format,
-                                        const mseed::ScanResult& baseline,
-                                        ReconcileStats* stats);
 
 }  // namespace dex
 

@@ -2,9 +2,9 @@
 
 #include <array>
 #include <cstdio>
-#include <cstring>
 
 #include "common/fnv.h"
+#include "io/byte_codec.h"
 #include "io/file_io.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -22,17 +22,6 @@ constexpr char kEntryExtension[] = ".dxcol";
 // per-task sim buckets (and with them the replayed critical path) would vary
 // with insertion order across worker counts.
 constexpr uint64_t kManifestAppendBytes = 4096;
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutStr(std::string* out, const std::string& s) {
-  PutU64(out, s.size());
-  out->append(s);
-}
 
 uint32_t StreamFor(const std::string& uri) {
   return static_cast<uint32_t>(Fnv1aString(uri));
@@ -85,20 +74,20 @@ void PersistentCache::ChargeSeek() {
 }
 
 Status PersistentCache::WriteManifestLocked() {
-  std::string out;
-  out.append(kManifestMagic, sizeof(kManifestMagic));
-  PutU64(&out, options_.generation);
-  PutU64(&out, manifest_.size());
+  ByteWriter out;
+  out.Bytes(kManifestMagic, sizeof(kManifestMagic));
+  out.U64(options_.generation);
+  out.U64(manifest_.size());
   for (const auto& [uri, e] : manifest_) {
-    PutStr(&out, uri);
-    PutStr(&out, e.file);
-    PutU64(&out, e.encoded_bytes);
-    PutU64(&out, e.source_size_bytes);
-    PutU64(&out, static_cast<uint64_t>(e.source_mtime_ms));
+    out.Str(uri);
+    out.Str(e.file);
+    out.U64(e.encoded_bytes);
+    out.U64(e.source_size_bytes);
+    out.I64(e.source_mtime_ms);
   }
-  PutU64(&out, Fnv1a(out.data(), out.size()));  // footer seal
+  out.Seal();
   ChargeWrite(kManifestAppendBytes);
-  return WriteFileAtomic(options_.dir + "/" + kManifestName, out);
+  return WriteFileAtomic(options_.dir + "/" + kManifestName, out.bytes());
 }
 
 Status PersistentCache::ReadManifestLocked() {
@@ -110,54 +99,26 @@ Status PersistentCache::ReadManifestLocked() {
   std::string data;
   DEX_RETURN_NOT_OK(ReadFileToString(path, &data));
   ChargeRead(data.size());
-  if (data.size() < sizeof(kManifestMagic) + 8 ||
-      std::memcmp(data.data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
-    return Status::Corruption("bad cache manifest magic");
-  }
-  const uint64_t want = Fnv1a(data.data(), data.size() - 8);
-  uint64_t got;
-  std::memcpy(&got, data.data() + data.size() - 8, 8);
-  if (want != got) {
-    return Status::Corruption("cache manifest footer checksum mismatch");
-  }
-  size_t pos = sizeof(kManifestMagic);
-  auto u64 = [&](uint64_t* v) -> bool {
-    if (pos + 8 > data.size() - 8) return false;
-    std::memcpy(v, data.data() + pos, 8);
-    pos += 8;
-    return true;
-  };
-  auto str = [&](std::string* s) -> bool {
-    uint64_t n;
-    if (!u64(&n) || n > data.size() || pos + n > data.size() - 8) return false;
-    *s = data.substr(pos, n);
-    pos += n;
-    return true;
-  };
-  uint64_t generation = 0, count = 0;
-  if (!u64(&generation) || !u64(&count)) {
-    return Status::Corruption("cache manifest truncated");
-  }
+  DEX_ASSIGN_OR_RETURN(ByteReader in,
+                       Unseal(data, kManifestMagic, "cache manifest"));
+  DEX_ASSIGN_OR_RETURN(uint64_t generation, in.U64());
   if (generation != options_.generation) {
     return Status::Corruption("cache manifest generation " +
                               std::to_string(generation) + " != expected " +
                               std::to_string(options_.generation));
   }
+  DEX_ASSIGN_OR_RETURN(uint64_t count, in.U64());
   std::map<std::string, ManifestEntry> loaded;
   for (uint64_t i = 0; i < count; ++i) {
-    std::string uri;
+    DEX_ASSIGN_OR_RETURN(std::string uri, in.Str());
     ManifestEntry e;
-    uint64_t mtime = 0;
-    if (!str(&uri) || !str(&e.file) || !u64(&e.encoded_bytes) ||
-        !u64(&e.source_size_bytes) || !u64(&mtime)) {
-      return Status::Corruption("cache manifest truncated mid-entry");
-    }
-    e.source_mtime_ms = static_cast<int64_t>(mtime);
+    DEX_ASSIGN_OR_RETURN(e.file, in.Str());
+    DEX_ASSIGN_OR_RETURN(e.encoded_bytes, in.U64());
+    DEX_ASSIGN_OR_RETURN(e.source_size_bytes, in.U64());
+    DEX_ASSIGN_OR_RETURN(e.source_mtime_ms, in.I64());
     loaded.emplace(std::move(uri), std::move(e));
   }
-  if (pos != data.size() - 8) {
-    return Status::Corruption("trailing bytes in cache manifest");
-  }
+  DEX_RETURN_NOT_OK(in.End());
   manifest_ = std::move(loaded);
   return Status::OK();
 }

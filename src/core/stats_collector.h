@@ -23,8 +23,9 @@ namespace dex {
 ///
 ///  - Events (`ScanStarted`/`FileScanned`/`ScanFinished`) are delivered from
 ///    the scan coordinator thread only, in repository enumeration order,
-///    *including* files whose metadata was reused from the baseline — so a
-///    collector always sees the complete repository picture,
+///    *including* files whose metadata was reused from the baseline — among
+///    them files a deadline or a dead shard skipped that keep their stale
+///    baseline row — so a collector always sees the complete catalog,
 ///    deterministically, at any worker count. Implementations need no
 ///    locking against other stage-1 events.
 ///  - A collector must tolerate redundant delivery: the same file may be
@@ -40,9 +41,11 @@ class StatsCollector {
   virtual void ScanStarted(const std::string& root) { (void)root; }
 
   /// One file's scan metadata, in enumeration order. Delivered exactly for
-  /// the files whose metadata enters the catalog (parse-quarantined and
-  /// deadline-skipped files are not); `records` are the file's record
-  /// windows.
+  /// the files whose metadata enters the catalog: scanned files, files
+  /// reused from the baseline, and files a deadline or a dead shard skipped
+  /// that keep their stale baseline row (delivered as reused). Parse-
+  /// quarantined files, and skipped files with no baseline row, are not
+  /// delivered. `records` are the file's record windows.
   virtual void FileScanned(const mseed::FileMeta& file,
                            const std::vector<mseed::RecordMeta>& records) {
     (void)file;
@@ -50,7 +53,7 @@ class StatsCollector {
   }
 
   /// All FileScanned events of the pass have been delivered. Files present
-  /// in an earlier pass but absent from this one were removed.
+  /// in an earlier pass but absent from this one have left the catalog.
   virtual Status ScanFinished() { return Status::OK(); }
 };
 

@@ -1,12 +1,11 @@
 #include "core/zone_map.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
-#include "common/fnv.h"
 #include "common/logging.h"
 #include "core/seismic_schema.h"
+#include "io/byte_codec.h"
 #include "io/file_io.h"
 #include "obs/flight_recorder.h"
 
@@ -19,73 +18,6 @@ constexpr uint64_t kMaxFiles = 1ull << 24;
 constexpr uint64_t kMaxRecordsPerFile = 1ull << 24;
 constexpr uint64_t kMaxFramesPerRecord = 1ull << 20;
 constexpr uint64_t kMaxStringBytes = 1ull << 20;
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(out, bits);
-}
-
-void PutStr(std::string* out, const std::string& s) {
-  PutU64(out, s.size());
-  out->append(s);
-}
-
-/// Bounds-checked sequential reader over the persisted bytes. Every getter
-/// fails with Corruption on overrun; the loader discards everything on the
-/// first non-OK.
-class Cursor {
- public:
-  explicit Cursor(const std::string& bytes) : bytes_(bytes) {}
-
-  size_t pos() const { return pos_; }
-
-  Result<uint64_t> U64() {
-    if (pos_ + 8 > bytes_.size()) {
-      return Status::Corruption("zone map truncated");
-    }
-    uint64_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-
-  Result<int64_t> I64() {
-    DEX_ASSIGN_OR_RETURN(uint64_t v, U64());
-    return static_cast<int64_t>(v);
-  }
-
-  Result<double> F64() {
-    DEX_ASSIGN_OR_RETURN(uint64_t bits, U64());
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
-
-  Result<std::string> Str() {
-    DEX_ASSIGN_OR_RETURN(uint64_t len, U64());
-    if (len > kMaxStringBytes || pos_ + len > bytes_.size()) {
-      return Status::Corruption("zone map string overruns file");
-    }
-    std::string s = bytes_.substr(pos_, len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  const std::string& bytes_;
-  size_t pos_ = 0;
-};
 
 /// The pruner handed to the reader: a snapshot of one file's zones taken
 /// under the store mutex, so concurrent zone updates (other sessions
@@ -146,6 +78,12 @@ class SnapshotPruner : public mseed::RecordPruner {
 
 }  // namespace
 
+void ZoneMapStore::ScanStarted(const std::string& root) {
+  (void)root;
+  std::lock_guard<std::mutex> lock(mu_);
+  ++pass_;
+}
+
 void ZoneMapStore::FileScanned(const mseed::FileMeta& file,
                                const std::vector<mseed::RecordMeta>& records) {
   (void)records;
@@ -158,9 +96,11 @@ void ZoneMapStore::FileScanned(const mseed::FileMeta& file,
       fz.size_bytes = file.size_bytes;
       fz.mtime_ms = file.mtime_ms;
       fz.expected_records = file.num_records;
+      fz.pass = pass_;
       return;
     }
     FileZones& fz = it->second;
+    fz.pass = pass_;
     if (fz.size_bytes != file.size_bytes || fz.mtime_ms != file.mtime_ms) {
       // The file was rewritten since the zones were harvested: they describe
       // bytes that no longer exist. Drop them (safety ladder step 1).
@@ -184,6 +124,19 @@ void ZoneMapStore::FileScanned(const mseed::FileMeta& file,
                std::to_string(dropped_records) + " record zones";
     obs::FlightRecorder::Global().Record(std::move(e));
   }
+}
+
+Status ZoneMapStore::ScanFinished() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = files_.begin(); it != files_.end();) {
+    if (it->second.pass == pass_) {
+      ++it;
+      continue;
+    }
+    if (!it->second.records.empty()) dirty_ = true;
+    it = files_.erase(it);
+  }
+  return Status::OK();
 }
 
 void ZoneMapStore::RecordMounted(
@@ -287,41 +240,41 @@ std::vector<const ZoneMapStore::FileEntry*> ZoneMapStore::SortedFilesLocked()
 }
 
 Status ZoneMapStore::SaveIfDirty(const std::string& path) {
-  std::string out;
+  ByteWriter out;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!dirty_) return Status::OK();
-    out.append(kMagic, sizeof(kMagic));
+    out.Bytes(kMagic, sizeof(kMagic));
     // Deterministic bytes: uris sorted, records already ordered by id.
     const std::vector<const FileEntry*> entries = SortedFilesLocked();
-    PutU64(&out, entries.size());
+    out.U64(entries.size());
     for (const FileEntry* kv : entries) {
       const FileZones& fz = kv->second;
-      PutStr(&out, kv->first);
-      PutU64(&out, fz.size_bytes);
-      PutI64(&out, fz.mtime_ms);
-      PutU64(&out, fz.expected_records);
-      PutU64(&out, fz.records.size());
+      out.Str(kv->first);
+      out.U64(fz.size_bytes);
+      out.I64(fz.mtime_ms);
+      out.U64(fz.expected_records);
+      out.U64(fz.records.size());
       for (const auto& rz : fz.records) {
-        PutI64(&out, rz.first);
-        PutF64(&out, rz.second.values.min);
-        PutF64(&out, rz.second.values.max);
-        PutF64(&out, rz.second.values.sum);
-        PutU64(&out, rz.second.values.count);
-        PutU64(&out, rz.second.frames.size());
+        out.I64(rz.first);
+        out.F64(rz.second.values.min);
+        out.F64(rz.second.values.max);
+        out.F64(rz.second.values.sum);
+        out.U64(rz.second.values.count);
+        out.U64(rz.second.frames.size());
         for (const mseed::Steim1::FrameStat& fs : rz.second.frames) {
-          PutU64(&out, fs.first_sample);
-          PutU64(&out, fs.count);
-          PutI64(&out, fs.min);
-          PutI64(&out, fs.max);
-          PutI64(&out, fs.entry);
+          out.U64(fs.first_sample);
+          out.U64(fs.count);
+          out.I64(fs.min);
+          out.I64(fs.max);
+          out.I64(fs.entry);
         }
       }
     }
-    PutU64(&out, Fnv1a(out.data(), out.size()));
+    out.Seal();
     dirty_ = false;
   }
-  Status s = WriteFileAtomic(path, out);
+  Status s = WriteFileAtomic(path, out.bytes());
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     dirty_ = true;  // retry on the next save
@@ -335,39 +288,21 @@ Status ZoneMapStore::Load(const std::string& path) {
   if (!read.ok()) return Status::OK();  // cold start: nothing persisted yet
 
   // Parse into a staging map first; only commit when the whole file —
-  // including the checksum footer — validated. Any violation discards
-  // everything (safety ladder step 2): zones are hints, a partial restore
-  // is not worth reasoning about.
+  // seal, every field and the absence of trailing bytes — validated. Any
+  // violation discards everything (safety ladder step 2): zones are hints,
+  // a partial restore is not worth reasoning about.
   std::unordered_map<std::string, FileZones> staged;
-  uint64_t records_loaded = 0;
   Status s = [&]() -> Status {
-    if (bytes.size() < sizeof(kMagic) + 8 ||
-        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-      return Status::Corruption("zone map magic mismatch");
-    }
-    const uint64_t want = Fnv1a(bytes.data(), bytes.size() - 8);
-    uint64_t got;
-    std::memcpy(&got, bytes.data() + bytes.size() - 8, 8);
-    if (want != got) return Status::Corruption("zone map checksum mismatch");
-
-    const std::string payload =
-        bytes.substr(sizeof(kMagic), bytes.size() - sizeof(kMagic) - 8);
-    Cursor body(payload);
-    DEX_ASSIGN_OR_RETURN(uint64_t num_files, body.U64());
-    if (num_files > kMaxFiles) {
-      return Status::Corruption("implausible zone map file count");
-    }
+    DEX_ASSIGN_OR_RETURN(ByteReader body, Unseal(bytes, kMagic, "zone map"));
+    DEX_ASSIGN_OR_RETURN(uint64_t num_files, body.Count(kMaxFiles));
     for (uint64_t i = 0; i < num_files; ++i) {
-      DEX_ASSIGN_OR_RETURN(std::string uri, body.Str());
+      DEX_ASSIGN_OR_RETURN(std::string uri, body.Str(kMaxStringBytes));
       FileZones fz;
       DEX_ASSIGN_OR_RETURN(fz.size_bytes, body.U64());
       DEX_ASSIGN_OR_RETURN(fz.mtime_ms, body.I64());
       DEX_ASSIGN_OR_RETURN(uint64_t expected, body.U64());
       fz.expected_records = static_cast<uint32_t>(expected);
-      DEX_ASSIGN_OR_RETURN(uint64_t num_records, body.U64());
-      if (num_records > kMaxRecordsPerFile) {
-        return Status::Corruption("implausible zone map record count");
-      }
+      DEX_ASSIGN_OR_RETURN(uint64_t num_records, body.Count(kMaxRecordsPerFile));
       for (uint64_t r = 0; r < num_records; ++r) {
         DEX_ASSIGN_OR_RETURN(int64_t record_id, body.I64());
         RecordZone zone;
@@ -375,13 +310,10 @@ Status ZoneMapStore::Load(const std::string& path) {
         DEX_ASSIGN_OR_RETURN(zone.values.max, body.F64());
         DEX_ASSIGN_OR_RETURN(zone.values.sum, body.F64());
         DEX_ASSIGN_OR_RETURN(zone.values.count, body.U64());
-        DEX_ASSIGN_OR_RETURN(uint64_t num_frames, body.U64());
-        if (num_frames > kMaxFramesPerRecord) {
-          return Status::Corruption("implausible zone map frame count");
-        }
+        DEX_ASSIGN_OR_RETURN(uint64_t num_frames,
+                             body.Count(kMaxFramesPerRecord));
         zone.frames.resize(num_frames);
-        for (uint64_t f = 0; f < num_frames; ++f) {
-          mseed::Steim1::FrameStat& fs = zone.frames[f];
+        for (mseed::Steim1::FrameStat& fs : zone.frames) {
           DEX_ASSIGN_OR_RETURN(uint64_t first, body.U64());
           DEX_ASSIGN_OR_RETURN(uint64_t count, body.U64());
           DEX_ASSIGN_OR_RETURN(int64_t mn, body.I64());
@@ -394,11 +326,10 @@ Status ZoneMapStore::Load(const std::string& path) {
           fs.entry = static_cast<int32_t>(entry);
         }
         fz.records.emplace(record_id, std::move(zone));
-        ++records_loaded;
       }
       staged.emplace(std::move(uri), std::move(fz));
     }
-    return Status::OK();
+    return body.End();
   }();
 
   if (!s.ok()) {
@@ -421,7 +352,6 @@ Status ZoneMapStore::Load(const std::string& path) {
   files_ = std::move(staged);
   persisted_loads_ = files_.size();
   dirty_ = false;
-  (void)records_loaded;
   return Status::OK();
 }
 

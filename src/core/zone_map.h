@@ -43,7 +43,8 @@ struct RecordValueStats {
 /// ## Safety ladder
 /// A zone map is a hint validated against the stage-1 scan:
 ///  1. FileScanned drops a file's zones when its size/mtime identity
-///     changed (stale after rewrite) — at Open and at every Refresh, so
+///     changed (stale after rewrite), and ScanFinished drops the files the
+///     pass did not deliver (removed) — at Open and at every Refresh, so
 ///     every reader above sees the same staleness rule.
 ///  2. Persisted zone maps carry an FNV-1a checksum; any corruption or
 ///     format violation discards the whole persisted set (counted, logged).
@@ -79,8 +80,12 @@ class ZoneMapStore : public StatsCollector {
 
   // StatsCollector ------------------------------------------------------
   std::string name() const override { return "zonemap"; }
+  void ScanStarted(const std::string& root) override;
   void FileScanned(const mseed::FileMeta& file,
                    const std::vector<mseed::RecordMeta>& records) override;
+  /// Forgets every file the pass did not deliver: it left the catalog, so
+  /// its zones (and DM rows) go too.
+  Status ScanFinished() override;
 
   // Harvest -------------------------------------------------------------
 
@@ -141,6 +146,7 @@ class ZoneMapStore : public StatsCollector {
     uint64_t size_bytes = 0;  // identity at harvest time
     int64_t mtime_ms = 0;
     uint32_t expected_records = 0;
+    uint64_t pass = 0;  // the last stage-1 pass that delivered the file
     std::map<int64_t, RecordZone> records;  // ordered for determinism
 
     bool complete() const {
@@ -155,6 +161,7 @@ class ZoneMapStore : public StatsCollector {
   mutable std::mutex mu_;
   std::unordered_map<std::string, FileZones> files_;
   bool dirty_ = false;
+  uint64_t pass_ = 0;  // stage-1 passes started
   uint64_t persisted_loads_ = 0;
   uint64_t stale_dropped_ = 0;
   uint64_t corrupt_discarded_ = 0;

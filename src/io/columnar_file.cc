@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/fnv.h"
+#include "io/byte_codec.h"
 #include "storage/schema.h"
 
 namespace dex {
@@ -11,6 +12,7 @@ namespace {
 
 constexpr char kMagic[8] = {'D', 'X', 'C', 'O', 'L', '0', '0', '1'};
 constexpr char kEndMark[8] = {'D', 'X', 'C', 'O', 'L', 'E', 'N', 'D'};
+constexpr char kWhat[] = "columnar file";
 
 // Frame encodings. The ids are part of the on-disk format; add new ones at
 // the end and bump the magic if an existing id changes meaning.
@@ -26,88 +28,14 @@ constexpr uint64_t kEncString = 5;     // dictionary + (const code | raw codes)
 constexpr uint64_t kMaxFields = 4096;
 constexpr uint64_t kMaxRows = 1ull << 40;
 
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutStr(std::string* out, const std::string& s) {
-  PutU64(out, s.size());
-  out->append(s);
-}
-
-class Cursor {
- public:
-  explicit Cursor(const std::string& data) : data_(data) {}
-
-  Status Need(size_t n) const {
-    if (pos_ > data_.size() || n > data_.size() - pos_) {
-      return Status::Corruption("columnar file truncated at offset " +
-                                std::to_string(pos_));
-    }
-    return Status::OK();
-  }
-
-  Result<uint64_t> U64() {
-    DEX_RETURN_NOT_OK(Need(8));
-    uint64_t v;
-    std::memcpy(&v, data_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  Result<int64_t> I64() {
-    DEX_ASSIGN_OR_RETURN(uint64_t v, U64());
-    return static_cast<int64_t>(v);
-  }
-  Result<double> F64() {
-    DEX_RETURN_NOT_OK(Need(8));
-    double v;
-    std::memcpy(&v, data_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  Result<std::string> Str() {
-    DEX_ASSIGN_OR_RETURN(uint64_t n, U64());
-    if (n > data_.size()) {
-      return Status::Corruption("implausible string length in columnar file");
-    }
-    DEX_RETURN_NOT_OK(Need(n));
-    std::string s = data_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  Status Skip(size_t n) {
-    DEX_RETURN_NOT_OK(Need(n));
-    pos_ += n;
-    return Status::OK();
-  }
-  size_t pos() const { return pos_; }
-  const char* Here() const { return data_.data() + pos_; }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
-
 void EncodeI64Frame(const Column& col, size_t n, uint64_t* encoding,
-                    std::string* payload) {
+                    ByteWriter* payload) {
   const int64_t* v = col.data_i64();
   bool constant = true;
   for (size_t i = 1; i < n && constant; ++i) constant = v[i] == v[0];
   if (n > 0 && constant) {
     *encoding = kEncConstI64;
-    PutI64(payload, v[0]);
+    payload->I64(v[0]);
     return;
   }
   if (n >= 2) {
@@ -118,17 +46,17 @@ void EncodeI64Frame(const Column& col, size_t n, uint64_t* encoding,
     }
     if (arithmetic) {
       *encoding = kEncStrideI64;
-      PutI64(payload, v[0]);
-      PutI64(payload, stride);
+      payload->I64(v[0]);
+      payload->I64(stride);
       return;
     }
   }
   *encoding = kEncRawI64;
-  payload->append(reinterpret_cast<const char*>(v), n * sizeof(int64_t));
+  payload->Bytes(v, n * sizeof(int64_t));
 }
 
 void EncodeF64Frame(const Column& col, size_t n, uint64_t* encoding,
-                    std::string* payload) {
+                    ByteWriter* payload) {
   const double* v = col.data_f64();
   bool constant = n > 0;
   for (size_t i = 1; i < n && constant; ++i) {
@@ -137,34 +65,33 @@ void EncodeF64Frame(const Column& col, size_t n, uint64_t* encoding,
   }
   if (constant) {
     *encoding = kEncConstF64;
-    PutF64(payload, v[0]);
+    payload->F64(v[0]);
     return;
   }
   *encoding = kEncRawF64;
-  payload->append(reinterpret_cast<const char*>(v), n * sizeof(double));
+  payload->Bytes(v, n * sizeof(double));
 }
 
-void EncodeStringFrame(const Column& col, size_t n, std::string* payload) {
+void EncodeStringFrame(const Column& col, size_t n, ByteWriter* payload) {
   const auto& dict = *col.dict();
-  PutU64(payload, dict.size());
+  payload->U64(dict.size());
   for (size_t i = 0; i < dict.size(); ++i) {
-    PutStr(payload, dict.At(static_cast<int32_t>(i)));
+    payload->Str(dict.At(static_cast<int32_t>(i)));
   }
   const int32_t* codes = col.codes();
   bool constant = n > 0;
   for (size_t i = 1; i < n && constant; ++i) constant = codes[i] == codes[0];
-  PutU64(payload, constant ? 1 : 0);
+  payload->U64(constant ? 1 : 0);
   if (constant) {
-    PutI64(payload, codes[0]);
+    payload->I64(codes[0]);
   } else {
-    payload->append(reinterpret_cast<const char*>(codes),
-                    n * sizeof(int32_t));
+    payload->Bytes(codes, n * sizeof(int32_t));
   }
 }
 
 Status DecodeI64Frame(uint64_t encoding, const std::string& payload, size_t n,
                       Column* col) {
-  Cursor cur(payload);
+  ByteReader cur(payload, kWhat);
   if (encoding == kEncConstI64) {
     DEX_ASSIGN_OR_RETURN(int64_t v, cur.I64());
     for (size_t i = 0; i < n; ++i) col->AppendInt64(v);
@@ -192,7 +119,7 @@ Status DecodeI64Frame(uint64_t encoding, const std::string& payload, size_t n,
 
 Status DecodeF64Frame(uint64_t encoding, const std::string& payload, size_t n,
                       Column* col) {
-  Cursor cur(payload);
+  ByteReader cur(payload, kWhat);
   if (encoding == kEncConstF64) {
     DEX_ASSIGN_OR_RETURN(double v, cur.F64());
     for (size_t i = 0; i < n; ++i) col->AppendDouble(v);
@@ -214,11 +141,8 @@ Status DecodeF64Frame(uint64_t encoding, const std::string& payload, size_t n,
 }
 
 Status DecodeStringFrame(const std::string& payload, size_t n, Column* col) {
-  Cursor cur(payload);
-  DEX_ASSIGN_OR_RETURN(uint64_t dict_n, cur.U64());
-  if (dict_n > payload.size()) {
-    return Status::Corruption("implausible dictionary size");
-  }
+  ByteReader cur(payload, kWhat);
+  DEX_ASSIGN_OR_RETURN(uint64_t dict_n, cur.Count(payload.size()));
   std::vector<std::string> dict;
   dict.reserve(dict_n);
   for (uint64_t i = 0; i < dict_n; ++i) {
@@ -238,11 +162,12 @@ Status DecodeStringFrame(const std::string& payload, size_t n, Column* col) {
     if (n > 0) DEX_RETURN_NOT_OK(check_code(code));
     for (size_t i = 0; i < n; ++i) col->AppendString(dict[code]);
   } else {
-    DEX_RETURN_NOT_OK(cur.Need(n * sizeof(int32_t)));
+    DEX_ASSIGN_OR_RETURN(std::string_view codes,
+                         cur.Bytes(n * sizeof(int32_t)));
     col->Reserve(n);
     for (size_t i = 0; i < n; ++i) {
       int32_t code;
-      std::memcpy(&code, cur.Here() + i * sizeof(int32_t), sizeof(int32_t));
+      std::memcpy(&code, codes.data() + i * sizeof(int32_t), sizeof(int32_t));
       DEX_RETURN_NOT_OK(check_code(code));
       col->AppendString(dict[code]);
     }
@@ -251,16 +176,12 @@ Status DecodeStringFrame(const std::string& payload, size_t n, Column* col) {
 }
 
 /// Validates magic + header checksum and parses the header. On success the
-/// cursor is positioned at the first frame and `meta`/`table_name`/`schema`/
+/// reader is positioned at the first frame and `meta`/`table_name`/`schema`/
 /// `num_rows` are filled.
-Status ParseValidatedHeader(const std::string& bytes, Cursor* cur,
-                            ColumnarFileMeta* meta, std::string* table_name,
-                            SchemaPtr* schema, uint64_t* num_rows) {
-  if (bytes.size() < sizeof(kMagic) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption("bad columnar file magic/version");
-  }
-  DEX_RETURN_NOT_OK(cur->Skip(sizeof(kMagic)));
+Status ParseValidatedHeader(ByteReader* cur, ColumnarFileMeta* meta,
+                            std::string* table_name, SchemaPtr* schema,
+                            uint64_t* num_rows) {
+  DEX_RETURN_NOT_OK(cur->Mark(kMagic));
   ColumnarFileMeta m;
   DEX_ASSIGN_OR_RETURN(m.source_uri, cur->Str());
   DEX_ASSIGN_OR_RETURN(m.predicate_repr, cur->Str());
@@ -273,10 +194,7 @@ Status ParseValidatedHeader(const std::string& bytes, Cursor* cur,
   DEX_ASSIGN_OR_RETURN(m.source_mtime_ms, cur->I64());
   DEX_ASSIGN_OR_RETURN(m.table_byte_size, cur->U64());
   DEX_ASSIGN_OR_RETURN(*table_name, cur->Str());
-  DEX_ASSIGN_OR_RETURN(uint64_t num_fields, cur->U64());
-  if (num_fields > kMaxFields) {
-    return Status::Corruption("implausible field count");
-  }
+  DEX_ASSIGN_OR_RETURN(uint64_t num_fields, cur->Count(kMaxFields));
   auto s = std::make_shared<Schema>();
   for (uint64_t i = 0; i < num_fields; ++i) {
     Field f;
@@ -289,13 +207,8 @@ Status ParseValidatedHeader(const std::string& bytes, Cursor* cur,
     DEX_ASSIGN_OR_RETURN(f.qualifier, cur->Str());
     s->AddField(f);
   }
-  DEX_ASSIGN_OR_RETURN(*num_rows, cur->U64());
-  if (*num_rows > kMaxRows) return Status::Corruption("implausible row count");
-  const uint64_t want = Fnv1a(bytes.data(), cur->pos());
-  DEX_ASSIGN_OR_RETURN(uint64_t got, cur->U64());
-  if (want != got) {
-    return Status::Corruption("columnar header checksum mismatch");
-  }
+  DEX_ASSIGN_OR_RETURN(*num_rows, cur->Count(kMaxRows));
+  DEX_RETURN_NOT_OK(cur->Seal());  // header checksum
   *schema = std::move(s);
   if (meta != nullptr) *meta = std::move(m);
   return Status::OK();
@@ -305,33 +218,32 @@ Status ParseValidatedHeader(const std::string& bytes, Cursor* cur,
 
 std::string EncodeColumnarFile(const Table& table,
                                const ColumnarFileMeta& meta) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  PutStr(&out, meta.source_uri);
-  PutStr(&out, meta.predicate_repr);
-  PutU64(&out, meta.window_pure ? 1 : 0);
-  PutF64(&out, meta.window_lo);
-  PutF64(&out, meta.window_hi);
-  PutU64(&out, meta.source_size_bytes);
-  PutI64(&out, meta.source_mtime_ms);
-  PutU64(&out, meta.table_byte_size != 0 ? meta.table_byte_size
-                                         : table.ByteSize());
-  PutStr(&out, table.name());
-  PutU64(&out, table.num_columns());
+  ByteWriter out;
+  out.Bytes(kMagic, sizeof(kMagic));
+  out.Str(meta.source_uri);
+  out.Str(meta.predicate_repr);
+  out.U64(meta.window_pure ? 1 : 0);
+  out.F64(meta.window_lo);
+  out.F64(meta.window_hi);
+  out.U64(meta.source_size_bytes);
+  out.I64(meta.source_mtime_ms);
+  out.U64(meta.table_byte_size != 0 ? meta.table_byte_size : table.ByteSize());
+  out.Str(table.name());
+  out.U64(table.num_columns());
   for (size_t i = 0; i < table.num_columns(); ++i) {
     const Field& f = table.schema()->field(i);
-    PutStr(&out, f.name);
-    PutU64(&out, static_cast<uint64_t>(f.type));
-    PutStr(&out, f.qualifier);
+    out.Str(f.name);
+    out.U64(static_cast<uint64_t>(f.type));
+    out.Str(f.qualifier);
   }
-  PutU64(&out, table.num_rows());
-  PutU64(&out, Fnv1a(out.data(), out.size()));  // header checksum
+  out.U64(table.num_rows());
+  out.Seal();  // header checksum
 
   const size_t n = table.num_rows();
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& col = *table.column(c);
     uint64_t encoding = 0;
-    std::string payload;
+    ByteWriter payload;
     switch (col.type()) {
       case DataType::kDouble:
         EncodeF64Frame(col, n, &encoding, &payload);
@@ -344,49 +256,41 @@ std::string EncodeColumnarFile(const Table& table,
         EncodeI64Frame(col, n, &encoding, &payload);
         break;
     }
-    PutU64(&out, encoding);
-    PutU64(&out, payload.size());
-    out.append(payload);
-    PutU64(&out, Fnv1a(payload.data(), payload.size()));  // frame checksum
+    out.U64(encoding);
+    out.Str(payload.bytes());
+    out.U64(Fnv1aString(payload.bytes()));  // frame checksum
   }
 
-  PutU64(&out, Fnv1a(out.data(), out.size()));  // whole-file checksum
-  out.append(kEndMark, sizeof(kEndMark));
-  return out;
+  out.Seal();  // whole-file checksum
+  out.Bytes(kEndMark, sizeof(kEndMark));
+  return out.Take();
 }
 
 Status PeekColumnarMeta(const std::string& bytes, ColumnarFileMeta* meta) {
-  Cursor cur(bytes);
+  ByteReader cur(bytes, kWhat);
   std::string table_name;
   SchemaPtr schema;
   uint64_t num_rows = 0;
-  return ParseValidatedHeader(bytes, &cur, meta, &table_name, &schema,
-                              &num_rows);
+  return ParseValidatedHeader(&cur, meta, &table_name, &schema, &num_rows);
 }
 
 Result<TablePtr> DecodeColumnarFile(const std::string& bytes,
                                     ColumnarFileMeta* meta) {
-  Cursor cur(bytes);
+  ByteReader cur(bytes, kWhat);
   std::string table_name;
   SchemaPtr schema;
   uint64_t num_rows = 0;
   DEX_RETURN_NOT_OK(
-      ParseValidatedHeader(bytes, &cur, meta, &table_name, &schema, &num_rows));
+      ParseValidatedHeader(&cur, meta, &table_name, &schema, &num_rows));
 
   // Validate every frame checksum before materializing anything: a decode
   // must be all-or-nothing, never partially trusted rows.
   auto table = std::make_shared<Table>(table_name, schema);
   for (size_t c = 0; c < static_cast<size_t>(schema->num_fields()); ++c) {
     DEX_ASSIGN_OR_RETURN(uint64_t encoding, cur.U64());
-    DEX_ASSIGN_OR_RETURN(uint64_t payload_bytes, cur.U64());
-    if (payload_bytes > bytes.size()) {
-      return Status::Corruption("implausible frame length");
-    }
-    DEX_RETURN_NOT_OK(cur.Need(payload_bytes));
-    const std::string payload = bytes.substr(cur.pos(), payload_bytes);
-    DEX_RETURN_NOT_OK(cur.Skip(payload_bytes));
+    DEX_ASSIGN_OR_RETURN(const std::string payload, cur.Str());
     DEX_ASSIGN_OR_RETURN(uint64_t got, cur.U64());
-    if (got != Fnv1a(payload.data(), payload.size())) {
+    if (got != Fnv1aString(payload)) {
       return Status::Corruption("frame checksum mismatch in column '" +
                                 schema->field(c).name + "'");
     }
@@ -407,16 +311,9 @@ Result<TablePtr> DecodeColumnarFile(const std::string& bytes,
     }
   }
 
-  const uint64_t want = Fnv1a(bytes.data(), cur.pos());
-  DEX_ASSIGN_OR_RETURN(uint64_t got, cur.U64());
-  if (want != got) {
-    return Status::Corruption("columnar file footer checksum mismatch");
-  }
-  DEX_RETURN_NOT_OK(cur.Need(sizeof(kEndMark)));
-  if (std::memcmp(cur.Here(), kEndMark, sizeof(kEndMark)) != 0 ||
-      cur.pos() + sizeof(kEndMark) != bytes.size()) {
-    return Status::Corruption("columnar file end marker missing or trailing bytes");
-  }
+  DEX_RETURN_NOT_OK(cur.Seal());  // whole-file checksum
+  DEX_RETURN_NOT_OK(cur.Mark(kEndMark));
+  DEX_RETURN_NOT_OK(cur.End());
   DEX_RETURN_NOT_OK(table->CommitAppendedRows(num_rows));
   return table;
 }

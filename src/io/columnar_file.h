@@ -12,7 +12,8 @@ namespace dex {
 /// \brief Compact, checksummed on-disk serialization of one cached partial
 /// table — the unit of the persistent columnar cache.
 ///
-/// Layout (all integers little-endian):
+/// Layout (all integers little-endian; every field goes through
+/// io/byte_codec.h):
 ///
 ///   magic        8 bytes  "DXCOL001" (bumping the version renames the magic,
 ///                         so older engines reject newer files and vice versa)
@@ -21,7 +22,7 @@ namespace dex {
 ///                in-memory table footprint, table name, schema, row count
 ///   hdr checksum u64 FNV-1a of everything above (a torn header is caught
 ///                before any frame is trusted)
-///   frames       one per column: encoding id, payload length, payload,
+///   frames       one per column: encoding id, length-prefixed payload,
 ///                u64 FNV-1a frame checksum of the payload
 ///   footer       u64 FNV-1a of every byte above + "DXCOLEND"
 ///

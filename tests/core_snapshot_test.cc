@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "core/database.h"
+#include "core/stage1_scan.h"
 #include "mseed/writer.h"
 #include "test_util.h"
 
@@ -134,16 +135,29 @@ TEST(SnapshotTest, V1SnapshotRejectedAsStale) {
   EXPECT_EQ(reloaded->files.size(), (*db)->open_stats().num_files);
 }
 
+// Reconciles `root` against a snapshot `baseline` the way Open() does: one
+// stage-1 scan over a fresh registry.
+Result<mseed::ScanResult> Reconcile(const std::string& root,
+                                    const mseed::ScanResult& baseline,
+                                    Stage1Stats* stats) {
+  SimDisk disk{SimDisk::Options{}};
+  FileRegistry registry(&disk);
+  MseedAdapter format;
+  Stage1Scanner scanner(&format, &registry);
+  Stage1Options options;
+  options.num_threads = 1;
+  return scanner.Scan(root, &baseline, options, stats);
+}
+
 TEST(SnapshotTest, ReconcileReusesUnchangedFiles) {
   ScopedRepo repo("snapshot_reconcile", TinyRepoOptions());
   const mseed::ScanResult baseline = ScanOf(repo.root());
-  MseedAdapter format;
-  ReconcileStats stats;
-  auto current = ReconcileScan(repo.root(), &format, baseline, &stats);
+  Stage1Stats stats;
+  auto current = Reconcile(repo.root(), baseline, &stats);
   ASSERT_TRUE(current.ok()) << current.status().ToString();
   EXPECT_EQ(stats.files_reused, baseline.files.size());
-  EXPECT_EQ(stats.files_rescanned, 0u);
-  EXPECT_EQ(stats.files_dropped, 0u);
+  EXPECT_EQ(stats.files_scanned, 0u);
+  EXPECT_EQ(stats.files_removed, 0u);
   EXPECT_EQ(current->records.size(), baseline.records.size());
 }
 
@@ -165,13 +179,12 @@ TEST(SnapshotTest, ReconcilePicksUpNewAndRemovedFiles) {
   ASSERT_TRUE(
       mseed::WriteFile(repo.root() + "/ADD/new.mseed", {rec}).ok());
 
-  MseedAdapter format;
-  ReconcileStats stats;
-  auto current = ReconcileScan(repo.root(), &format, baseline, &stats);
-  ASSERT_TRUE(current.ok());
+  Stage1Stats stats;
+  auto current = Reconcile(repo.root(), baseline, &stats);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
   EXPECT_EQ(stats.files_reused, baseline.files.size() - 1);
-  EXPECT_EQ(stats.files_rescanned, 1u);  // the new file
-  EXPECT_EQ(stats.files_dropped, 1u);
+  EXPECT_EQ(stats.files_scanned, 1u);  // the new file
+  EXPECT_EQ(stats.files_removed, 1u);
   EXPECT_EQ(current->files.size(), baseline.files.size());
 }
 

@@ -410,6 +410,63 @@ TEST(DerivedMetadataTest, RowOrderIsIndependentOfWorkerCount) {
   EXPECT_EQ(rows[0], rows[1]);
 }
 
+int64_t DmRows(Database* db, const std::string& uri) {
+  auto result =
+      db->Query("SELECT COUNT(*) FROM DM WHERE DM.uri = '" + uri + "'");
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? result->table->GetValue(0, 0).int64() : -1;
+}
+
+// Regression: the zone store kept a removed file's zones, so DM kept its
+// rows after Refresh and, through the zone-map file, after a restart.
+TEST(DerivedMetadataTest, RefreshForgetsRemovedFile) {
+  ScopedRepo repo("dm_removed", TinyRepoOptions());
+  DatabaseOptions options;
+  options.zone_map_path = repo.root() + "/.zonemaps";
+  std::string target;
+  {
+    auto db = Database::Open(repo.root(), options);
+    DEX_ASSERT_OK(db);
+    DEX_ASSERT_OK((*db)->Query(kMountAll));
+    target = FileUris(db->get()).at(0);
+    ASSERT_EQ(DmRows(db->get(), target), 3);
+    ASSERT_EQ(std::remove(target.c_str()), 0) << target;
+    auto refresh = (*db)->Refresh();
+    DEX_ASSERT_OK(refresh);
+    ASSERT_EQ(refresh->files_removed, 1u);
+    EXPECT_EQ(DmRows(db->get(), target), 0);
+    EXPECT_EQ((*db)->zone_maps()->GetStats().records, 21u);
+  }
+  auto db = Database::Open(repo.root(), options);
+  DEX_ASSERT_OK(db);
+  EXPECT_EQ((*db)->zone_maps()->GetStats().persisted_loads, 7u)
+      << "the zone-map file must forget the removed file too";
+  EXPECT_EQ(DmRows(db->get(), target), 0);
+}
+
+// Guard: a file a deadline skips keeps its stale F/R rows, is delivered to
+// the collectors as reused, and so keeps its zones.
+TEST(DerivedMetadataTest, DeadlineSkippedFileKeepsItsZones) {
+  ScopedRepo repo("dm_deadline", TinyRepoOptions());
+  auto db = Database::Open(repo.root(), DatabaseOptions{});
+  DEX_ASSERT_OK(db);
+  DEX_ASSERT_OK((*db)->Query(kMountAll));
+  const std::vector<std::string> uris = FileUris(db->get());
+  AmplifyFile(uris.at(0), 8);
+  AmplifyFile(uris.at(1), 8);
+  // Cold header reads, so the first admission charges past the deadline.
+  (*db)->FlushBuffers();
+  (*db)->set_sim_deadline_nanos(1);
+  auto refresh = (*db)->Refresh();
+  (*db)->set_sim_deadline_nanos(0);
+  DEX_ASSERT_OK(refresh);
+  ASSERT_TRUE(refresh->is_partial);
+  ASSERT_EQ(refresh->files_changed, 1u);
+  ASSERT_EQ(refresh->files_skipped_deadline, 1u);
+  EXPECT_EQ(DmRows(db->get(), uris[0]), 0) << "admitted: stale zones dropped";
+  EXPECT_EQ(DmRows(db->get(), uris[1]), 3) << "skipped: zones kept";
+}
+
 // One thread scans DM while another mounts files the scans have not seen:
 // each scan reads a private table built from the zone store, never a table
 // another thread appends to (the TSan leg checks the absence of a race).
