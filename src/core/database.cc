@@ -502,7 +502,7 @@ Result<QueryResult> Database::RunExplainAnalyze(const std::string& sql,
   std::string text = profiler.Render();
   text += "-- execution --\n";
   text += "result rows: " + std::to_string(out.stats.result_rows) + "\n";
-  char line[160];
+  char line[256];
   std::snprintf(line, sizeof(line),
                 "plan %.3fms, exec %.3fms, simulated I/O %.3fms",
                 static_cast<double>(out.stats.plan_nanos) / 1e6,
@@ -524,12 +524,16 @@ Result<QueryResult> Database::RunExplainAnalyze(const std::string& sql,
   }
   const ExecStats& ex = ts.exec;
   if (ex.kernel_filter_batches > 0 || ex.kernel_agg_batches > 0 ||
-      ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0) {
+      ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0 ||
+      ex.kernel_join_batches > 0 || ex.scalar_join_batches > 0) {
     std::snprintf(line, sizeof(line),
                   "\nkernels: filter %llu vectorized / %llu scalar, "
+                  "join %llu run-keyed / %llu row, "
                   "agg %llu vectorized / %llu scalar, %llu compactions",
                   static_cast<unsigned long long>(ex.kernel_filter_batches),
                   static_cast<unsigned long long>(ex.scalar_filter_batches),
+                  static_cast<unsigned long long>(ex.kernel_join_batches),
+                  static_cast<unsigned long long>(ex.scalar_join_batches),
                   static_cast<unsigned long long>(ex.kernel_agg_batches),
                   static_cast<unsigned long long>(ex.scalar_agg_batches),
                   static_cast<unsigned long long>(ex.selection_compactions));

@@ -24,6 +24,8 @@ namespace dex {
 /// resource consumption of his query at the breakpoint and let him even
 /// change the destiny of his query".
 struct BreakpointInfo {
+  /// Handed to BreakpointCallbacks only; TwoStageStats::breakpoint keeps it
+  /// empty and counts the files in TwoStageStats::files_of_interest.
   std::vector<std::string> files_of_interest;
   uint64_t files_cached = 0;       // servable by cache-scan
   uint64_t files_pruned = 0;       // skipped via derived metadata

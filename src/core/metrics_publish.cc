@@ -89,6 +89,8 @@ void PublishQueryMetrics(const QueryStats& stats,
   // scalar-interpreter fallbacks, and boundary compactions.
   m.AddCounter("kernel.filter_batches", ex.kernel_filter_batches);
   m.AddCounter("kernel.filter_scalar_batches", ex.scalar_filter_batches);
+  m.AddCounter("kernel.join_batches", ex.kernel_join_batches);
+  m.AddCounter("kernel.join_scalar_batches", ex.scalar_join_batches);
   m.AddCounter("kernel.agg_batches", ex.kernel_agg_batches);
   m.AddCounter("kernel.agg_scalar_batches", ex.scalar_agg_batches);
   m.AddCounter("kernel.selection_compactions", ex.selection_compactions);

@@ -29,8 +29,8 @@ namespace dex {
 ///      never decoded. CPU only; the whole file was already charged.
 ///   3. `frame_level` — per-Steim1-frame zone maps: decode only frames that
 ///      may contain matching samples. CPU only.
-///   4. `use_simd_kernels` — vectorize the residual filter/aggregate work on
-///      whatever survived pruning (engine/kernel.h).
+///   4. `use_simd_kernels` — vectorize the residual filter/join/aggregate
+///      work on whatever survived pruning (engine/kernel.h).
 ///
 /// `file_level` defaults off because it changes the I/O accounting
 /// experiments compare; the CPU-only levels default on (results and charged

@@ -68,6 +68,69 @@ struct AdmissionState {
   uint64_t reserved_bytes = 0;    // partial-table reservations to release
 };
 
+/// Collects the column names read by the expressions of `node`'s subtree:
+/// join, filter and fused-mount predicates, projections, group keys,
+/// aggregate arguments and sort keys.
+void CollectReadNames(const PlanPtr& node,
+                      std::unordered_set<std::string>* names) {
+  std::vector<std::string> found;
+  const auto add = [&found](const ExprPtr& e) {
+    if (e != nullptr) e->CollectColumnNames(&found);
+  };
+  add(node->predicate);
+  for (const ExprPtr& e : node->project_exprs) add(e);
+  for (const ExprPtr& e : node->group_by) add(e);
+  for (const AggSpec& a : node->aggregates) add(a.arg);
+  for (const SortKey& k : node->sort_keys) add(k.expr);
+  names->insert(found.begin(), found.end());
+  for (const PlanPtr& c : node->children) CollectReadNames(c, names);
+}
+
+/// True when Q_f's result-scan reaches the output with no Project or
+/// Aggregate in between, so every Q_f column is part of the result (as in
+/// SELECT *).
+bool QfReachesOutput(const PlanPtr& node) {
+  if (node->kind == PlanKind::kProject || node->kind == PlanKind::kAggregate) {
+    return false;
+  }
+  if (node->kind == PlanKind::kResultScan && node->result_id == kQfResultId) {
+    return true;
+  }
+  return std::any_of(node->children.begin(), node->children.end(),
+                     QfReachesOutput);
+}
+
+/// Q_f's result narrowed to the columns `stage2_plan` reads, shared rather
+/// than copied, and the plan's Q_f result-scans given its schema. A column
+/// stays when its qualified or its bare name is read, so an unqualified
+/// `uri` keeps every `uri` and name resolution in stage 2 is unchanged.
+TablePtr NarrowQf(const TablePtr& qf, const PlanPtr& stage2_plan) {
+  if (QfReachesOutput(stage2_plan)) return qf;
+  std::unordered_set<std::string> names;
+  CollectReadNames(stage2_plan, &names);
+  const Schema& schema = *qf->schema();
+  std::vector<size_t> keep;
+  for (size_t i = 0; i < schema.num_fields(); ++i) {
+    const Field& f = schema.field(i);
+    if (names.count(f.QualifiedName()) > 0 || names.count(f.name) > 0) {
+      keep.push_back(i);
+    }
+  }
+  // A batch's row count lives in its columns: keep one even when stage 2
+  // reads none (a cartesian product under COUNT(*)).
+  if (keep.empty() && schema.num_fields() > 0) keep.push_back(0);
+  if (keep.size() == schema.num_fields()) return qf;
+  TablePtr narrowed = qf->SelectColumns(keep);
+  std::function<void(const PlanPtr&)> retype = [&](const PlanPtr& node) {
+    if (node->kind == PlanKind::kResultScan && node->result_id == kQfResultId) {
+      node->output_schema = narrowed->schema();
+    }
+    for (const PlanPtr& c : node->children) retype(c);
+  };
+  retype(stage2_plan);
+  return narrowed;
+}
+
 }  // namespace
 
 Result<std::vector<std::string>> TwoStageExecutor::FilesOfInterest(
@@ -789,14 +852,19 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
 
   // Informativeness at the breakpoint. The stage-1-harvested record-window
   // index backs the estimate when Q_f carries no record-level columns.
+  // The file list goes only to the callbacks: stats keep its size
+  // (files_of_interest), not a copy of every URI per query.
   DEX_ASSIGN_OR_RETURN(
-      stats->breakpoint,
+      BreakpointInfo breakpoint,
       EstimateInformativeness(qf_result, files, *registry_, cache_, d_predicate,
                               opts.model, info_index_));
-  stats->breakpoint.files_pruned = stats->files_pruned;
+  breakpoint.files_pruned = stats->files_pruned;
   stats->breakpoint_evaluated = true;
-  if (callback != nullptr &&
-      callback(stats->breakpoint) == BreakpointDecision::kAbort) {
+  const BreakpointDecision decision =
+      callback != nullptr ? callback(breakpoint) : BreakpointDecision::kContinue;
+  stats->breakpoint = std::move(breakpoint);
+  stats->breakpoint.files_of_interest = {};
+  if (decision == BreakpointDecision::kAbort) {
     return Status::Aborted("query aborted by the explorer at the breakpoint");
   }
 
@@ -805,8 +873,11 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
                        RewriteStage2Impl(split.plan, kQfResultId, decisions,
                                          &union_node, catalog, opts));
 
-  // Named results available to stage 2.
-  if (qf_result != nullptr) ctx.named_results[kQfResultId] = qf_result;
+  // Named results available to stage 2: Q_f's result, narrowed to the
+  // columns stage 2 reads (stage 1's consumers above saw all of it).
+  if (qf_result != nullptr) {
+    ctx.named_results[kQfResultId] = NarrowQf(qf_result, stage2_plan);
+  }
   // Empty-relation placeholders (one per actual table) for the zero-files
   // case; fix up the result-scan schemas too.
   std::function<Status(const PlanPtr&)> fix_empties =
@@ -878,6 +949,7 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
       DEX_RETURN_NOT_OK(buffer->AppendTable(*part));
       if (callback != nullptr) {
         BreakpointInfo progress = stats->breakpoint;
+        progress.files_of_interest = files;
         progress.batch_index = b + 1;
         progress.num_batches = num_batches;
         progress.rows_ingested_so_far = buffer->num_rows();

@@ -35,12 +35,16 @@ namespace dex {
 ///    remain shared and immutable while selected — an operator must never
 ///    mutate a column of a batch that carries a selection (downstream holders
 ///    of the same ColumnPtr would observe the change).
-///  - Consumers that understand selections (HashAggOp's kernel path) read
-///    through `selection` directly. Everything else calls `Compact()` first,
-///    which gathers the selected rows into fresh columns and drops the
-///    vector. Producers that hand a batch to a selection-unaware operator
-///    (joins, sorts, sinks, projections) MUST compact at that boundary;
-///    FilterOp does this automatically unless its consumer opts in.
+///  - Physical rows outside the selection hold arbitrary but valid values
+///    (a run-keyed join fills them from a neighbouring run); nothing may
+///    read them as data.
+///  - Consumers that understand selections (FilterOp's kernels, HashAggOp's
+///    kernel path, HashJoinOp's run-keyed mode) read through `selection`
+///    directly; FilterOp and the run-keyed join also emit selections.
+///    Everything else calls `Compact()` first, which gathers the selected
+///    rows into fresh columns and drops the vector. Selection-unaware
+///    operators (the row-at-a-time join, sorts, sinks, projections) compact
+///    at their input.
 ///  - num_rows() is always the *logical* row count. Code indexing columns
 ///    positionally must use physical row indices (via `selection[i]` when
 ///    has_selection).

@@ -368,6 +368,20 @@ Result<bool> FilterJoined(const kernel::PredicateSelector& residual,
 /// Hash join: materializes+hashes the right (build) side, streams the left
 /// (probe) side. Falls back to nested-loop when the condition has no
 /// equality pairs (the paper's "Q_f might contain cartesian products").
+///
+/// Two probe paths, fixed at Open:
+///  - Run-keyed (kernel mode of `use_simd_kernels`): every key pair is two
+///    plain columns, both strings or both integer-backed, and the build keys
+///    are unique — the FK→PK shape of every D ⋈ F and D ⋈ R join. Build keys
+///    become int64s (dictionary code or value). Rows of D arrive in runs of
+///    one (uri, record_id), so the probe walks the raw code and value arrays
+///    for runs of equal keys, translates each string code once per distinct
+///    code and looks each run up once. The output shares the probe columns,
+///    marks matched rows with a selection vector (none when all matched) and
+///    fills the build columns run by run.
+///  - Row at a time (everything else, and kernels off): hashes, compares and
+///    gathers every matched row into fresh columns. It is the run-keyed
+///    path's reference twin and returns the same rows in the same order.
 class HashJoinOp : public PhysOp {
  public:
   HashJoinOp(SchemaPtr schema, JoinKeys keys, PhysOpPtr left, PhysOpPtr right,
@@ -385,6 +399,8 @@ class HashJoinOp : public PhysOp {
     DEX_RETURN_NOT_OK(left_->Open());
     DEX_RETURN_NOT_OK(right_->Open());
     DEX_ASSIGN_OR_RETURN(build_, Drain(right_.get(), "join_build"));
+    run_keyed_ = ctx_->use_simd_kernels && RunKeyedShape() && IndexRunKeys();
+    if (run_keyed_) return Status::OK();
     // Evaluate build-side key columns over the whole build table at once.
     Batch all;
     all.schema = right_->schema();
@@ -395,37 +411,271 @@ class HashJoinOp : public PhysOp {
       DEX_ASSIGN_OR_RETURN(ColumnPtr col, e->Evaluate(all));
       build_keys_.push_back(std::move(col));
     }
-    // Flat sorted (hash, row) arrays: node-based hash maps fall over when
-    // the build side is large (per-node allocation dominates); sorting keeps
-    // the build linear-ish and probes cache-friendly.
-    const size_t n = build_->num_rows();
-    hashes_.resize(n);
-    rows_.resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      hashes_[r] = HashKeyRow(build_keys_, r);
-      rows_[r] = static_cast<uint32_t>(r);
+    std::vector<uint64_t> hashes(build_->num_rows());
+    for (size_t r = 0; r < hashes.size(); ++r) {
+      hashes[r] = HashKeyRow(build_keys_, r);
     }
-    std::vector<uint32_t> perm(n);
-    for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
-    std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-      return hashes_[a] < hashes_[b];
-    });
-    std::vector<uint64_t> sorted_hashes(n);
-    std::vector<uint32_t> sorted_rows(n);
-    for (size_t i = 0; i < n; ++i) {
-      sorted_hashes[i] = hashes_[perm[i]];
-      sorted_rows[i] = rows_[perm[i]];
-    }
-    hashes_ = std::move(sorted_hashes);
-    rows_ = std::move(sorted_rows);
+    SortByHash(hashes);
     return Status::OK();
   }
 
   Result<bool> Next(Batch* out) override {
+    return run_keyed_ ? NextRunKeyed(out) : NextRowAtATime(out);
+  }
+
+ private:
+  // -- Build side ------------------------------------------------------------
+
+  /// Flat sorted (hash, row) arrays: node-based hash maps fall over when the
+  /// build side is large (per-node allocation dominates); sorting keeps the
+  /// build linear-ish and probes cache-friendly.
+  void SortByHash(const std::vector<uint64_t>& hashes) {
+    const size_t n = hashes.size();
+    std::vector<uint32_t> perm(n);
+    for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
+    std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+      return hashes[a] < hashes[b];
+    });
+    hashes_.resize(n);
+    rows_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      hashes_[i] = hashes[perm[i]];
+      rows_[i] = perm[i];
+    }
+  }
+
+  /// The run-keyed path's key shape: plain column pairs, string/string or
+  /// integer-backed/integer-backed (so int64 matches timestamp, as in the
+  /// row path, and doubles stay there).
+  bool RunKeyedShape() const {
+    if (keys_.left_exprs.empty()) return false;
+    for (size_t k = 0; k < keys_.left_exprs.size(); ++k) {
+      const Expr& l = *keys_.left_exprs[k];
+      const Expr& r = *keys_.right_exprs[k];
+      if (l.kind() != ExprKind::kColumnRef || l.column_index() < 0 ||
+          r.kind() != ExprKind::kColumnRef || r.column_index() < 0) {
+        return false;
+      }
+      const bool strings = l.output_type() == DataType::kString &&
+                           r.output_type() == DataType::kString;
+      const bool ints = IsIntegerBacked(l.output_type()) &&
+                        IsIntegerBacked(r.output_type());
+      if (!strings && !ints) return false;
+    }
+    return true;
+  }
+
+  static uint64_t HashRunKey(const int64_t* key, size_t nk) {
+    uint64_t h = 0;
+    for (size_t k = 0; k < nk; ++k) {
+      h = HashCombine(h, std::hash<int64_t>{}(key[k]));
+    }
+    return h;
+  }
+
+  /// Encodes the build keys as int64 tuples and indexes them by hash.
+  /// Returns false (the row path takes over) when two build rows share a
+  /// key: a run then matches several rows, which only the row path emits.
+  bool IndexRunKeys() {
+    const size_t nk = keys_.right_exprs.size();
+    const size_t n = build_->num_rows();
+    run_keys_.resize(n * nk);
+    for (size_t k = 0; k < nk; ++k) {
+      const Column& col = *build_->column(keys_.right_exprs[k]->column_index());
+      for (size_t r = 0; r < n; ++r) {
+        run_keys_[r * nk + k] = col.type() == DataType::kString
+                                    ? col.GetStringCode(r)
+                                    : col.GetInt64(r);
+      }
+    }
+    std::vector<uint64_t> hashes(n);
+    for (size_t r = 0; r < n; ++r) hashes[r] = HashRunKey(&run_keys_[r * nk], nk);
+    SortByHash(hashes);
+    // Equal keys hash equally, so duplicates sit in one equal-hash block.
+    for (size_t i = 0; i < n;) {
+      size_t j = i + 1;
+      while (j < n && hashes_[j] == hashes_[i]) ++j;
+      for (size_t a = i; a < j; ++a) {
+        for (size_t b = a + 1; b < j; ++b) {
+          if (std::equal(&run_keys_[rows_[a] * nk], &run_keys_[rows_[a] * nk] + nk,
+                         &run_keys_[rows_[b] * nk])) {
+            run_keys_.clear();
+            return false;
+          }
+        }
+      }
+      i = j;
+    }
+    code_maps_.resize(nk);
+    probe_key_.resize(nk);
+    return true;
+  }
+
+  // -- Run-keyed probe -------------------------------------------------------
+
+  /// Translates one probe column's dictionary codes into the build column's
+  /// codes, one StringDict::Find per distinct code. It keys on the probe
+  /// column itself, kept alive here, rather than on a shared_ptr to its
+  /// dictionary: Column::ByteSize divides a dictionary by its use_count.
+  struct CodeMap {
+    ColumnPtr probe;
+    std::vector<int32_t> to_build;  // -1 absent from the build, kUnresolved
+  };
+  static constexpr int32_t kUnresolved = -2;
+
+  /// One probe run [begin, end) of equal keys and the build row it matched
+  /// (-1: none).
+  struct Run {
+    uint32_t begin;
+    uint32_t end;
+    int64_t build_row;
+  };
+
+  /// Looks up the keys of probe row `row`; -1 when no build row matches.
+  int64_t LookupRun(const Batch& in, size_t row) {
+    const size_t nk = keys_.left_exprs.size();
+    for (size_t k = 0; k < nk; ++k) {
+      const Column& col = *in.columns[keys_.left_exprs[k]->column_index()];
+      if (col.type() != DataType::kString) {
+        probe_key_[k] = col.GetInt64(row);
+        continue;
+      }
+      CodeMap& map = code_maps_[k];
+      const size_t code = static_cast<size_t>(col.GetStringCode(row));
+      if (code >= map.to_build.size()) map.to_build.resize(code + 1, kUnresolved);
+      if (map.to_build[code] == kUnresolved) {
+        const Column& build =
+            *build_->column(keys_.right_exprs[k]->column_index());
+        map.to_build[code] =
+            build.dict()->Find(col.dict()->At(static_cast<int32_t>(code)));
+      }
+      if (map.to_build[code] < 0) return -1;
+      probe_key_[k] = map.to_build[code];
+    }
+    const uint64_t h = HashRunKey(probe_key_.data(), nk);
+    for (auto it = std::lower_bound(hashes_.begin(), hashes_.end(), h);
+         it != hashes_.end() && *it == h; ++it) {
+      const uint32_t r = rows_[it - hashes_.begin()];
+      if (std::equal(probe_key_.begin(), probe_key_.end(), &run_keys_[r * nk])) {
+        return r;
+      }
+    }
+    return -1;
+  }
+
+  /// Splits the batch's physical rows into maximal runs of equal keys and
+  /// looks each run up once. Returns whether any run matched.
+  bool FindRuns(const Batch& in) {
+    runs_.clear();
+    for (size_t k = 0; k < keys_.left_exprs.size(); ++k) {
+      const ColumnPtr& col = in.columns[keys_.left_exprs[k]->column_index()];
+      CodeMap& map = code_maps_[k];
+      if (col->type() == DataType::kString &&
+          (map.probe == nullptr || map.probe->dict() != col->dict())) {
+        map.probe = col;
+        map.to_build.clear();
+      }
+    }
+    const size_t n = in.physical_rows();
+    bool any = false;
+    for (size_t begin = 0; begin < n;) {
+      // Each key column narrows the run its predecessors allowed.
+      size_t end = n;
+      for (const ExprPtr& e : keys_.left_exprs) {
+        const Column& col = *in.columns[e->column_index()];
+        size_t i = begin + 1;
+        if (col.type() == DataType::kString) {
+          const int32_t* codes = col.codes();
+          while (i < end && codes[i] == codes[begin]) ++i;
+        } else {
+          const int64_t* vals = col.data_i64();
+          while (i < end && vals[i] == vals[begin]) ++i;
+        }
+        end = i;
+      }
+      const int64_t row = LookupRun(in, begin);
+      any = any || row >= 0;
+      runs_.push_back(
+          {static_cast<uint32_t>(begin), static_cast<uint32_t>(end), row});
+      begin = end;
+    }
+    return any;
+  }
+
+  Result<bool> NextRunKeyed(Batch* out) {
+    while (true) {
+      Batch in;
+      DEX_ASSIGN_OR_RETURN(bool more, left_->Next(&in));
+      if (!more) {
+        for (CodeMap& map : code_maps_) map = CodeMap{};  // release the probe
+        return false;
+      }
+      ctx_->stats.kernel_join_batches += 1;
+      if (in.num_rows() == 0 || !FindRuns(in)) continue;
+      const auto matched = [](const Run& run) { return run.build_row >= 0; };
+      Batch joined;
+      joined.schema = schema_;
+      joined.columns = in.columns;  // shared per the selection contract
+      // Matched rows: the incoming selection (or every physical row) inside
+      // matched runs; no selection when every row matched.
+      const bool every_run = std::all_of(runs_.begin(), runs_.end(), matched);
+      joined.has_selection = in.has_selection || !every_run;
+      if (every_run) {
+        joined.selection = std::move(in.selection);
+      } else if (in.has_selection) {
+        size_t r = 0;
+        for (uint32_t row : in.selection) {
+          while (runs_[r].end <= row) ++r;
+          if (matched(runs_[r])) joined.selection.push_back(row);
+        }
+        if (joined.selection.empty()) continue;
+      } else {
+        for (const Run& run : runs_) {
+          if (!matched(run)) continue;
+          for (uint32_t row = run.begin; row < run.end; ++row) {
+            joined.selection.push_back(row);
+          }
+        }
+      }
+      // Build columns cover every physical row. An unmatched run repeats
+      // the previous matched run's row (the first matched one for leading
+      // runs), which the selection hides.
+      int64_t fill = std::find_if(runs_.begin(), runs_.end(), matched)->build_row;
+      const size_t first_build = joined.columns.size();
+      for (size_t c = 0; c < build_->num_columns(); ++c) {
+        auto col = std::make_shared<Column>(build_->column(c)->type());
+        col->Reserve(in.physical_rows());
+        joined.columns.push_back(std::move(col));
+      }
+      for (const Run& run : runs_) {
+        if (matched(run)) fill = run.build_row;
+        for (size_t c = 0; c < build_->num_columns(); ++c) {
+          joined.columns[first_build + c]->AppendRepeat(
+              *build_->column(c), static_cast<size_t>(fill),
+              run.end - run.begin);
+        }
+      }
+      if (residual_.has_value()) {
+        std::vector<uint32_t> kept;
+        DEX_RETURN_NOT_OK(residual_->Select(&joined, &kept));
+        if (kept.empty()) continue;
+        joined.has_selection = kept.size() != joined.physical_rows();
+        joined.selection = joined.has_selection ? std::move(kept)
+                                                : std::vector<uint32_t>{};
+      }
+      *out = std::move(joined);
+      return true;
+    }
+  }
+
+  // -- Row-at-a-time probe ---------------------------------------------------
+
+  Result<bool> NextRowAtATime(Batch* out) {
     while (true) {
       Batch in;
       DEX_ASSIGN_OR_RETURN(bool more, left_->Next(&in));
       if (!more) return false;
+      ctx_->stats.scalar_join_batches += 1;
       if (in.Compact()) ctx_->stats.selection_compactions += 1;
       std::vector<ColumnPtr> probe_keys;
       for (const ExprPtr& e : keys_.left_exprs) {
@@ -483,17 +733,26 @@ class HashJoinOp : public PhysOp {
     }
   }
 
- private:
   JoinKeys keys_;
   PhysOpPtr left_;
   PhysOpPtr right_;
   ExecContext* ctx_;
   std::optional<kernel::PredicateSelector> residual_;
   TablePtr build_;
-  std::vector<ColumnPtr> build_keys_;
-  // Parallel arrays sorted by hash.
+  // Parallel arrays sorted by hash (of build_keys_ rows, or of run_keys_
+  // tuples on the run-keyed path).
   std::vector<uint64_t> hashes_;
   std::vector<uint32_t> rows_;
+
+  // Row path.
+  std::vector<ColumnPtr> build_keys_;
+
+  // Run-keyed path.
+  bool run_keyed_ = false;
+  std::vector<int64_t> run_keys_;  // build row r's key tuple at r * #keys
+  std::vector<CodeMap> code_maps_;  // per key; unused for integer keys
+  std::vector<int64_t> probe_key_;  // scratch: one run's translated keys
+  std::vector<Run> runs_;           // scratch: the batch's runs
 };
 
 /// Index nested-loop join against a persistent, indexed base table: the Ei
@@ -620,6 +879,7 @@ class HashAggOp : public PhysOp {
 
   Status Open() override {
     kernel_mode_ = ctx_->use_simd_kernels && KernelEligible();
+    if (kernel_mode_) ShareAccumulators();
     return child_->Open();
   }
 
@@ -662,7 +922,21 @@ class HashAggOp : public PhysOp {
     return true;
   }
 
-  /// Per-agg accumulator arrays, parallel over global group slots.
+  /// Aggregates over the same argument column share one accumulator, so
+  /// AVG, MIN and MAX of a column take one pass. COUNT needs none: it reads
+  /// the per-group row count.
+  void ShareAccumulators() {
+    acc_of_agg_.assign(aggs_.size(), -1);
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      if (args_[a] == nullptr || aggs_[a].fn == AggFunc::kCount) continue;
+      const int col = args_[a]->column_index();
+      auto it = std::find(acc_cols_.begin(), acc_cols_.end(), col);
+      acc_of_agg_[a] = static_cast<int>(it - acc_cols_.begin());
+      if (it == acc_cols_.end()) acc_cols_.push_back(col);
+    }
+  }
+
+  /// Per-column accumulator arrays, parallel over global group slots.
   struct KernelAgg {
     std::vector<double> min, max, sum;
     std::vector<int64_t> imin, imax, isum;
@@ -681,7 +955,7 @@ class HashAggOp : public PhysOp {
   };
 
   Status AccumulateKernel() {
-    kernel_aggs_.resize(aggs_.size());
+    kernel_aggs_.resize(acc_cols_.size());
     Batch in;
     DEX_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
     while (more) {
@@ -721,10 +995,9 @@ class HashAggOp : public PhysOp {
         std::fill(gid_.begin(), gid_.end(), 0u);
       }
       for (size_t r = 0; r < rows; ++r) ++group_rows_[gid_[r]];
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (args_[a] == nullptr) continue;
-        const Column& col = *in.columns[args_[a]->column_index()];
-        KernelAgg& k = kernel_aggs_[a];
+      for (size_t i = 0; i < acc_cols_.size(); ++i) {
+        const Column& col = *in.columns[acc_cols_[i]];
+        KernelAgg& k = kernel_aggs_[i];
         if (col.type() == DataType::kDouble) {
           kernel::GroupAccumF64(col.data_f64(), sel, rows, gid_.data(),
                                 k.min.data(), k.max.data(), k.sum.data(),
@@ -761,7 +1034,9 @@ class HashAggOp : public PhysOp {
         DEX_RETURN_NOT_OK(out->columns[c++]->AppendValue(kernel_keys_[g]));
       }
       for (size_t a = 0; a < aggs_.size(); ++a, ++c) {
-        const KernelAgg& k = kernel_aggs_[a];
+        const int acc = acc_of_agg_[a];
+        const KernelAgg* k =
+            acc < 0 ? nullptr : &kernel_aggs_[static_cast<size_t>(acc)];
         const DataType out_type = schema_->field(c).type;
         const bool is_f64 =
             args_[a] != nullptr && args_[a]->output_type() == DataType::kDouble;
@@ -773,18 +1048,18 @@ class HashAggOp : public PhysOp {
             break;
           case AggFunc::kSum:
             v = out_type == DataType::kInt64
-                    ? Value::Int64(k.isum[g])
-                    : Value::Double(is_f64 ? k.sum[g]
-                                           : static_cast<double>(k.isum[g]));
+                    ? Value::Int64(k->isum[g])
+                    : Value::Double(is_f64 ? k->sum[g]
+                                           : static_cast<double>(k->isum[g]));
             break;
           case AggFunc::kAvg:
             v = Value::Double(rows == 0 ? 0.0
-                                        : k.sum[g] / static_cast<double>(rows));
+                                        : k->sum[g] / static_cast<double>(rows));
             break;
           case AggFunc::kMin:
           case AggFunc::kMax: {
             const bool want_min = aggs_[a].fn == AggFunc::kMin;
-            if (!k.seen[g]) {
+            if (!k->seen[g]) {
               // Empty group: the scalar path emits a zero of the output type.
               v = out_type == DataType::kDouble ? Value::Double(0.0)
                                                 : Value::Int64(0);
@@ -792,9 +1067,9 @@ class HashAggOp : public PhysOp {
               break;
             }
             if (is_f64) {
-              v = Value::Double(want_min ? k.min[g] : k.max[g]);
+              v = Value::Double(want_min ? k->min[g] : k->max[g]);
             } else {
-              const int64_t iv = want_min ? k.imin[g] : k.imax[g];
+              const int64_t iv = want_min ? k->imin[g] : k->imax[g];
               v = out_type == DataType::kTimestamp ? Value::Timestamp(iv)
                                                    : Value::Int64(iv);
             }
@@ -964,7 +1239,9 @@ class HashAggOp : public PhysOp {
   bool kernel_mode_ = false;
   std::vector<Value> kernel_keys_;       // group key per global slot
   std::vector<uint64_t> group_rows_;     // rows per global slot
-  std::vector<KernelAgg> kernel_aggs_;   // parallel accumulators per agg
+  std::vector<int> acc_cols_;            // argument column per accumulator
+  std::vector<int> acc_of_agg_;          // accumulator per agg (-1: COUNT)
+  std::vector<KernelAgg> kernel_aggs_;   // parallel accumulators per column
   std::vector<uint32_t> gid_;            // per-row group ids (batch scratch)
   std::vector<int32_t> local_code_to_slot_;
   std::vector<int32_t> local_codes_;

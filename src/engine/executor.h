@@ -27,9 +27,12 @@ struct ExecStats {
   // expression interpreter, and selection vectors materialized at
   // kernel-unaware operator boundaries. The filter counts are FilterOp's
   // alone: join residuals and fused mount selections share its
-  // PredicateSelector but are not counted.
+  // PredicateSelector but are not counted. The join counts are probe
+  // batches of HashJoinOp: run-keyed (kernel) vs. row at a time.
   uint64_t kernel_filter_batches = 0;
   uint64_t scalar_filter_batches = 0;
+  uint64_t kernel_join_batches = 0;
+  uint64_t scalar_join_batches = 0;
   uint64_t kernel_agg_batches = 0;
   uint64_t scalar_agg_batches = 0;
   uint64_t selection_compactions = 0;
@@ -43,6 +46,8 @@ struct ExecStats {
     index_probes += o.index_probes;
     kernel_filter_batches += o.kernel_filter_batches;
     scalar_filter_batches += o.scalar_filter_batches;
+    kernel_join_batches += o.kernel_join_batches;
+    scalar_join_batches += o.scalar_join_batches;
     kernel_agg_batches += o.kernel_agg_batches;
     scalar_agg_batches += o.scalar_agg_batches;
     selection_compactions += o.selection_compactions;
@@ -77,9 +82,10 @@ struct ExecContext {
   /// tables instead of building a hash table on the fly.
   bool use_index_joins = false;
 
-  /// Route eligible filters, join residuals and aggregations through the
-  /// branchless kernels in engine/kernel.h (selection vectors, compact
-  /// group-by). Off = always use the scalar expression interpreter
+  /// Route eligible filters, joins, join residuals and aggregations through
+  /// the branchless kernels in engine/kernel.h (selection vectors, run-keyed
+  /// joins, compact group-by). Off = always use the scalar expression
+  /// interpreter and the row-at-a-time join
   /// (PruningOptions::use_simd_kernels).
   bool use_simd_kernels = true;
 

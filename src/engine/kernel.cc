@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 namespace dex::kernel {
@@ -338,46 +339,74 @@ void GroupByCodes(const int32_t* codes, const uint32_t* sel, size_t k,
   }
 }
 
+namespace {
+
+/// Calls `fold(g, begin, end)` for each maximal run [begin, end) of the
+/// processed rows that share group id g, in row order.
+template <typename Fold>
+void ForEachGroupRun(const uint32_t* gid, size_t k, Fold fold) {
+  for (size_t begin = 0; begin < k;) {
+    const uint32_t g = gid[begin];
+    size_t end = begin + 1;
+    while (end < k && gid[end] == g) ++end;
+    fold(g, begin, end);
+    begin = end;
+  }
+}
+
+/// Folds `v` over the processed rows [begin, end) into min/max/sum (and,
+/// for integers, the exact sum) held in registers, adding in row order so
+/// sums equal the row-at-a-time ones.
+template <typename T>
+void FoldRun(const T* v, const uint32_t* sel, size_t begin, size_t end, T* mn,
+             T* mx, double* sum, int64_t* isum) {
+  T lo = *mn, hi = *mx;
+  double s = *sum;
+  int64_t is = 0;
+  const auto fold = [&](T x) {
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+    s += static_cast<double>(x);
+    if constexpr (std::is_integral_v<T>) is += x;
+  };
+  if (sel != nullptr) {
+    for (size_t i = begin; i < end; ++i) fold(v[sel[i]]);
+  } else {
+    for (size_t i = begin; i < end; ++i) fold(v[i]);
+  }
+  *mn = lo;
+  *mx = hi;
+  *sum = s;
+  if constexpr (std::is_integral_v<T>) *isum += is;
+}
+
+}  // namespace
+
 void GroupAccumF64(const double* v, const uint32_t* sel, size_t k,
                    const uint32_t* gid, double* min, double* max, double* sum,
                    uint64_t* count, uint8_t* seen) {
-  for (size_t i = 0; i < k; ++i) {
-    const uint32_t row = sel != nullptr ? sel[i] : static_cast<uint32_t>(i);
-    const double x = v[row];
-    const uint32_t g = gid[i];
+  ForEachGroupRun(gid, k, [&](uint32_t g, size_t begin, size_t end) {
     if (!seen[g]) {
       seen[g] = 1;
-      min[g] = x;
-      max[g] = x;
-    } else {
-      min[g] = std::min(min[g], x);
-      max[g] = std::max(max[g], x);
+      min[g] = max[g] = v[sel != nullptr ? sel[begin] : begin];
     }
-    sum[g] += x;
-    ++count[g];
-  }
+    FoldRun(v, sel, begin, end, &min[g], &max[g], &sum[g], nullptr);
+    count[g] += end - begin;
+  });
 }
 
 void GroupAccumI64(const int64_t* v, const uint32_t* sel, size_t k,
                    const uint32_t* gid, int64_t* imin, int64_t* imax,
                    double* sum, int64_t* isum, uint64_t* count,
                    uint8_t* seen) {
-  for (size_t i = 0; i < k; ++i) {
-    const uint32_t row = sel != nullptr ? sel[i] : static_cast<uint32_t>(i);
-    const int64_t x = v[row];
-    const uint32_t g = gid[i];
+  ForEachGroupRun(gid, k, [&](uint32_t g, size_t begin, size_t end) {
     if (!seen[g]) {
       seen[g] = 1;
-      imin[g] = x;
-      imax[g] = x;
-    } else {
-      imin[g] = std::min(imin[g], x);
-      imax[g] = std::max(imax[g], x);
+      imin[g] = imax[g] = v[sel != nullptr ? sel[begin] : begin];
     }
-    sum[g] += static_cast<double>(x);
-    isum[g] += x;
-    ++count[g];
-  }
+    FoldRun(v, sel, begin, end, &imin[g], &imax[g], &sum[g], &isum[g]);
+    count[g] += end - begin;
+  });
 }
 
 }  // namespace dex::kernel

@@ -128,7 +128,9 @@ void GroupByCodes(const int32_t* codes, const uint32_t* sel, size_t k,
 /// Grouped accumulation: folds `v[row]` into per-group accumulators, where
 /// row r of the processed set has group id `gid[r]`. Accumulator arrays are
 /// parallel, sized `num_groups`; `seen` tracks whether a group already has a
-/// value (min/max seeding).
+/// value (min/max seeding). Each maximal run of one group id folds in
+/// registers and adds in row order, so sums are bit-identical to a
+/// row-at-a-time fold; joined rows of D arrive in such runs.
 void GroupAccumF64(const double* v, const uint32_t* sel, size_t k,
                    const uint32_t* gid, double* min, double* max, double* sum,
                    uint64_t* count, uint8_t* seen);

@@ -1,6 +1,7 @@
 #include "sql/binder.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "sql/parser.h"
 
@@ -22,6 +23,26 @@ std::string DisplayName(const SelectItem& item) {
     return dot == std::string::npos ? name : name.substr(dot + 1);
   }
   return item.expr->ToString();
+}
+
+/// A copy of interior node `e` over new children `kids`.
+ExprPtr WithChildren(const ExprPtr& e, const std::vector<ExprPtr>& kids) {
+  switch (e->kind()) {
+    case ExprKind::kComparison:
+      return Expr::Compare(e->compare_op(), kids[0], kids[1]);
+    case ExprKind::kAnd:
+      return Expr::And(kids[0], kids[1]);
+    case ExprKind::kOr:
+      return Expr::Or(kids[0], kids[1]);
+    case ExprKind::kNot:
+      return Expr::Not(kids[0]);
+    case ExprKind::kArithmetic:
+      return Expr::Arith(e->arith_op(), kids[0], kids[1]);
+    case ExprKind::kLike:
+      return Expr::Like(kids[0], e->like_pattern());
+    default:
+      return e;
+  }
 }
 
 /// Rebuilds `e`, replacing "#AGG#FN#arg" placeholders with references to the
@@ -77,22 +98,61 @@ Result<ExprPtr> ResolveHavingExpr(
     DEX_ASSIGN_OR_RETURN(ExprPtr k, ResolveHavingExpr(c, stmt, aggs, agg_ordinal));
     kids.push_back(std::move(k));
   }
-  switch (e->kind()) {
-    case ExprKind::kComparison:
-      return Expr::Compare(e->compare_op(), kids[0], kids[1]);
-    case ExprKind::kAnd:
-      return Expr::And(kids[0], kids[1]);
-    case ExprKind::kOr:
-      return Expr::Or(kids[0], kids[1]);
-    case ExprKind::kNot:
-      return Expr::Not(kids[0]);
-    case ExprKind::kArithmetic:
-      return Expr::Arith(e->arith_op(), kids[0], kids[1]);
-    case ExprKind::kLike:
-      return Expr::Like(kids[0], e->like_pattern());
-    default:
-      return e;
+  return WithChildren(e, kids);
+}
+
+/// `a op b` over two numeric literals, as the interpreter computes it:
+/// double when either side is double or for division, int64 otherwise.
+/// Null where the interpreter fails (division by zero) or int64 overflows.
+std::optional<Value> FoldArith(ArithOp op, const Value& a, const Value& b) {
+  if (a.type() == DataType::kDouble || b.type() == DataType::kDouble ||
+      op == ArithOp::kDiv) {
+    const double x = *a.AsDouble();
+    const double y = *b.AsDouble();
+    if (op == ArithOp::kDiv && y == 0) return std::nullopt;
+    return Value::Double(op == ArithOp::kAdd   ? x + y
+                         : op == ArithOp::kSub ? x - y
+                         : op == ArithOp::kMul ? x * y
+                                               : x / y);
   }
+  int64_t v = 0;
+  const bool overflow =
+      op == ArithOp::kAdd   ? __builtin_add_overflow(a.int64(), b.int64(), &v)
+      : op == ArithOp::kSub ? __builtin_sub_overflow(a.int64(), b.int64(), &v)
+                            : __builtin_mul_overflow(a.int64(), b.int64(), &v);
+  if (overflow) return std::nullopt;
+  return Value::Int64(v);
+}
+
+/// Folds arithmetic on two numeric literals into one literal, bottom-up, so
+/// `x > -9` (parsed as `x > (0 - 9)`) reaches the selection kernels and the
+/// zone maps as a column-vs-literal comparison. What FoldArith cannot fold
+/// stays as written and fails at run time, as before.
+ExprPtr FoldLiterals(const ExprPtr& e) {
+  if (e == nullptr || e->children().empty()) return e;
+  std::vector<ExprPtr> kids;
+  bool changed = false;
+  for (const ExprPtr& c : e->children()) {
+    kids.push_back(FoldLiterals(c));
+    changed = changed || kids.back() != c;
+  }
+  const auto numeric = [](const ExprPtr& k) {
+    return k->kind() == ExprKind::kLiteral &&
+           (k->literal().type() == DataType::kInt64 ||
+            k->literal().type() == DataType::kDouble);
+  };
+  if (e->kind() == ExprKind::kArithmetic && numeric(kids[0]) &&
+      numeric(kids[1])) {
+    const std::optional<Value> v =
+        FoldArith(e->arith_op(), kids[0]->literal(), kids[1]->literal());
+    if (v.has_value()) return Expr::Lit(*v);
+  }
+  return changed ? WithChildren(e, kids) : e;
+}
+
+std::vector<ExprPtr> FoldLiterals(std::vector<ExprPtr> exprs) {
+  for (ExprPtr& e : exprs) e = FoldLiterals(e);
+  return exprs;
 }
 
 }  // namespace
@@ -106,10 +166,11 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog) {
     if (!catalog.HasTable(join.table.name)) {
       return Status::NotFound("unknown table '" + join.table.name + "'");
     }
-    plan = MakeJoin(join.on, std::move(plan), MakeScan(join.table.name));
+    plan = MakeJoin(FoldLiterals(join.on), std::move(plan),
+                    MakeScan(join.table.name));
   }
   if (stmt.where != nullptr) {
-    plan = MakeFilter(stmt.where, std::move(plan));
+    plan = MakeFilter(FoldLiterals(stmt.where), std::move(plan));
   }
 
   const bool has_aggregates =
@@ -156,7 +217,7 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog) {
           return Status::InvalidArgument("column " + repr +
                                          " must appear in GROUP BY");
         }
-        out_exprs.push_back(item.expr);
+        out_exprs.push_back(FoldLiterals(item.expr));
         out_names.push_back(DisplayName(item));
       }
     }
@@ -168,9 +229,12 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog) {
       DEX_ASSIGN_OR_RETURN(
           having, ResolveHavingExpr(stmt.having, stmt, &aggs, &agg_ordinal));
     }
-    plan = MakeAggregate(stmt.group_by, std::move(aggs), std::move(plan));
+    // Folded only now: HAVING matches aggregates by their written text.
+    for (AggSpec& spec : aggs) spec.arg = FoldLiterals(spec.arg);
+    plan = MakeAggregate(FoldLiterals(stmt.group_by), std::move(aggs),
+                         std::move(plan));
     if (having != nullptr) {
-      plan = MakeFilter(std::move(having), std::move(plan));
+      plan = MakeFilter(FoldLiterals(having), std::move(plan));
     }
     plan = MakeProject(std::move(out_exprs), std::move(out_names), std::move(plan));
   } else if (stmt.having != nullptr) {
@@ -179,7 +243,7 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog) {
     std::vector<ExprPtr> exprs;
     std::vector<std::string> names;
     for (const SelectItem& item : stmt.items) {
-      exprs.push_back(item.expr);
+      exprs.push_back(FoldLiterals(item.expr));
       names.push_back(DisplayName(item));
     }
     if (stmt.distinct) {
@@ -196,7 +260,7 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog) {
     // display names without qualifiers; remap matching expressions.
     std::vector<SortKey> keys;
     for (const auto& [expr, asc] : stmt.order_by) {
-      ExprPtr key = expr;
+      ExprPtr key = FoldLiterals(expr);
       if (!stmt.select_star) {
         const std::string repr = expr->ToString();
         for (const SelectItem& item : stmt.items) {

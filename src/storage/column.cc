@@ -88,6 +88,29 @@ void Column::AppendStringRun(const std::string& v, size_t n) {
   size_ += n;
 }
 
+void Column::AppendRepeat(const Column& src, size_t row, size_t n) {
+  DEX_CHECK(src.type_ == type_);
+  DEX_CHECK_LT(row, src.size_);
+  switch (type_) {
+    case DataType::kDouble:
+      f64_.insert(f64_.end(), n, src.f64_[row]);
+      break;
+    case DataType::kString: {
+      if (size_ == 0) dict_ = src.dict_;
+      int32_t code = src.codes_[row];
+      if (dict_ != src.dict_) {
+        EnsureOwnDict();
+        code = dict_->Intern(src.dict_->At(code));
+      }
+      codes_.insert(codes_.end(), n, code);
+      break;
+    }
+    default:
+      i64_.insert(i64_.end(), n, src.i64_[row]);
+  }
+  size_ += n;
+}
+
 Status Column::AppendValue(const Value& v) {
   if (v.is_null()) {
     return Status::InvalidArgument("NULL values are not supported in columns");

@@ -71,6 +71,9 @@ class Column {
   /// Appends `n` rows holding `v`, interned once rather than per row; no
   /// rows, no interning.
   void AppendStringRun(const std::string& v, size_t n);
+  /// Appends `n` copies of row `row` of `src` (same type); a string is
+  /// translated into this column's dictionary at most once.
+  void AppendRepeat(const Column& src, size_t row, size_t n);
 
   // -- Element access ----------------------------------------------------
   int64_t GetInt64(size_t row) const { return i64_[row]; }

@@ -57,6 +57,18 @@ Status Table::CommitAppendedRows(size_t n) {
   return Status::OK();
 }
 
+std::shared_ptr<Table> Table::SelectColumns(
+    const std::vector<size_t>& indices) const {
+  auto schema = std::make_shared<Schema>();
+  for (size_t i : indices) schema->AddField(schema_->field(i));
+  auto out = std::make_shared<Table>(name_, std::move(schema));
+  for (size_t c = 0; c < indices.size(); ++c) {
+    out->columns_[c] = columns_[indices[c]];
+  }
+  out->num_rows_ = num_rows_;
+  return out;
+}
+
 uint64_t Table::ByteSize() const {
   uint64_t total = 0;
   for (const ColumnPtr& c : columns_) total += c->ByteSize();

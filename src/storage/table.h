@@ -43,6 +43,10 @@ class Table {
     return columns_[col]->GetValue(row);
   }
 
+  /// A table of the columns at `indices`, in that order, sharing rather
+  /// than copying them.
+  std::shared_ptr<Table> SelectColumns(const std::vector<size_t>& indices) const;
+
   /// Sum of column footprints in bytes (the "MonetDB size" of Table 1).
   uint64_t ByteSize() const;
 

@@ -119,5 +119,30 @@ TEST(ExplainAnalyzeTest, AnalyzeMatchesPlainQueryRowCount) {
       << text;
 }
 
+
+TEST(ExplainAnalyzeTest, KernelsLineCountsJoinBatchesByPath) {
+  ScopedRepo repo("explain_analyze_join", TinyRepoOptions());
+  const std::string sql =
+      "EXPLAIN ANALYZE SELECT F.channel, AVG(D.sample_value) FROM F "
+      "JOIN D ON F.uri = D.uri WHERE F.station = 'ISK' GROUP BY F.channel";
+  for (bool kernels : {true, false}) {
+    DatabaseOptions options;
+    options.two_stage.pruning.use_simd_kernels = kernels;
+    auto db = Database::Open(repo.root(), options);
+    DEX_ASSERT_OK(db);
+    auto result = (*db)->Query(sql);
+    DEX_ASSERT_OK(result);
+    const ExecStats& ex = result->stats.two_stage.exec;
+    // 4 files of one station, one probe batch each.
+    EXPECT_EQ(ex.kernel_join_batches, kernels ? 4u : 0u);
+    EXPECT_EQ(ex.scalar_join_batches, kernels ? 0u : 4u);
+    const std::string text = PlanText(*result->table);
+    EXPECT_NE(text.find(kernels ? "join 4 run-keyed / 0 row"
+                                : "join 0 run-keyed / 4 row"),
+              std::string::npos)
+        << text;
+  }
+}
+
 }  // namespace
 }  // namespace dex

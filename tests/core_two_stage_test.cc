@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/database.h"
 #include "test_util.h"
 
@@ -344,6 +348,104 @@ TEST_F(TwoStageBehavior, MountedUnionEqualsEagerD) {
   ASSERT_EQ(mounted->table->num_rows(), loaded->table->num_rows());
   EXPECT_EQ(::dex::testing::CanonicalRows(*mounted->table),
             ::dex::testing::CanonicalRows(*loaded->table));
+}
+
+
+TEST_F(TwoStageBehavior, StatsKeepTheFileCountNotTheFileList) {
+  DatabaseOptions opts;
+  opts.two_stage.mount_batch_size = 2;
+  auto db = Database::Open(repo_->root(), opts);
+  ASSERT_TRUE(db.ok());
+  std::vector<size_t> listed;
+  QueryOptions qopts;
+  qopts.breakpoint = [&](const BreakpointInfo& info) {
+    listed.push_back(info.files_of_interest.size());
+    return BreakpointDecision::kContinue;
+  };
+  auto r = (*db)->Query(
+      "SELECT AVG(D.sample_value) FROM F JOIN R ON F.uri = R.uri "
+      "JOIN D ON R.uri = D.uri AND R.record_id = D.record_id "
+      "WHERE F.station = 'ISK'",
+      qopts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // The first breakpoint and both multi-stage progress breakpoints see the
+  // list; the stats the caller keeps only count it.
+  EXPECT_EQ(listed, (std::vector<size_t>{4, 4, 4}));
+  EXPECT_TRUE(r->stats.two_stage.breakpoint.files_of_interest.empty());
+  EXPECT_EQ(r->stats.two_stage.files_of_interest, 4u);
+}
+
+/// Stage 2 reads Q_f's result narrowed to the columns its expressions name.
+/// Every shape of what a query reads must still equal eager ingestion, with
+/// the run-keyed join and its row-at-a-time twin, under multi-stage
+/// ingestion and under strategy (b).
+TEST(QfNarrowing, NarrowedQfEqualsEagerIngestion) {
+  ScopedRepo repo("qf_narrowing", SmallRepoOptions());
+  // SELECT *: every Q_f column is output. Two-stage execution emits D's
+  // columns before Q_f's, so rows are compared by qualified column name.
+  const char* select_star =
+      "SELECT * FROM F JOIN R ON F.uri = R.uri "
+      "JOIN D ON R.uri = D.uri AND R.record_id = D.record_id "
+      "WHERE F.station = 'ISK' AND D.sample_value > 300";
+  const auto rows_by_name = [](const Table& t, const Schema& order) {
+    std::vector<std::string> rows;
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      std::string row;
+      for (const Field& f : order.fields()) {
+        const int c = t.schema()->FindFieldIndex(f.QualifiedName());
+        EXPECT_GE(c, 0) << f.QualifiedName();
+        if (c >= 0) row += t.GetValue(r, static_cast<size_t>(c)).ToString() + "|";
+      }
+      rows.push_back(std::move(row));
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  const char* queries[] = {
+      // Unqualified names resolve exactly as before.
+      "SELECT station, channel, COUNT(*), AVG(sample_value) "
+      "FROM F JOIN D ON F.uri = D.uri GROUP BY station, channel",
+      "SELECT station, n_samples, sample_value FROM F JOIN R ON F.uri = R.uri "
+      "JOIN D ON R.uri = D.uri AND R.record_id = D.record_id "
+      "WHERE channel = 'BHE' AND sample_value > 300",
+      "SELECT DISTINCT F.station, R.record_id FROM F JOIN R ON F.uri = R.uri "
+      "JOIN D ON R.uri = D.uri AND R.record_id = D.record_id "
+      "WHERE D.sample_value > 300",
+      // HAVING reads a Q_f column no select item names.
+      "SELECT F.channel, COUNT(*) AS n FROM F JOIN R ON F.uri = R.uri "
+      "JOIN D ON R.uri = D.uri AND R.record_id = D.record_id "
+      "GROUP BY F.channel HAVING MIN(R.n_samples) > 0",
+      "SELECT F.station, D.sample_time, D.sample_value FROM F "
+      "JOIN D ON F.uri = D.uri WHERE D.sample_value > 300 "
+      "ORDER BY D.sample_value DESC, D.sample_time LIMIT 7",
+      // Nothing of Q_f is read beyond the join keys.
+      "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri WHERE F.channel = 'BHZ'",
+  };
+  std::vector<std::pair<const char*, DatabaseOptions>> configs(4);
+  configs[0].first = "default";
+  configs[1].first = "kernels off";
+  configs[1].second.two_stage.pruning.use_simd_kernels = false;
+  configs[2].first = "multi-stage ingestion";
+  configs[2].second.two_stage.mount_batch_size = 2;
+  configs[3].first = "strategy (b)";
+  configs[3].second.two_stage.distribute_join_over_union = true;
+  for (const auto& [name, opts] : configs) {
+    SCOPED_TRACE(name);
+    DualDatabase dual = OpenDual(repo.root(), opts);
+    ASSERT_NE(dual.ali, nullptr);
+    ASSERT_NE(dual.ei, nullptr);
+    for (const char* sql : queries) {
+      ExpectSameResults(dual.ali.get(), dual.ei.get(), sql);
+    }
+    auto ali = dual.ali->Query(select_star);
+    auto ei = dual.ei->Query(select_star);
+    ASSERT_TRUE(ali.ok()) << ali.status().ToString();
+    ASSERT_TRUE(ei.ok()) << ei.status().ToString();
+    EXPECT_EQ(ali->table->num_columns(), ei->table->num_columns());
+    EXPECT_GT(ei->table->num_rows(), 0u);
+    EXPECT_EQ(rows_by_name(*ali->table, *ei->table->schema()),
+              rows_by_name(*ei->table, *ei->table->schema()));
+  }
 }
 
 }  // namespace

@@ -141,6 +141,24 @@ TEST(ZoneMapProperty, SelectivePredicateActuallyPrunes) {
   }
 }
 
+// A negative bound is parsed as `0 - n`; the binder folds it to a literal,
+// so it lowers to the kernels and prunes like a positive one.
+TEST(ZoneMapProperty, NegativeBoundPrunesAndEqualsUnpruned) {
+  mseed::GeneratorOptions gen = SmallRepoOptions();
+  gen.event_probability = 0.3;
+  ScopedRepo repo("zonemap_negative", gen);
+  const char* sql =
+      "SELECT COUNT(*), MIN(D.sample_value), AVG(D.sample_value) "
+      "FROM F JOIN D ON F.uri = D.uri WHERE D.sample_value < -500";
+  const RunOutcome off = RunTwice(repo.root(), sql, 1, 1, /*prune=*/false);
+  const RunOutcome on = RunTwice(repo.root(), sql, 1, 1, /*prune=*/true);
+  EXPECT_GT(on.records_skipped, 0u);
+  EXPECT_EQ(on.rows, off.rows);
+  EXPECT_EQ(on.sim_io_nanos, off.sim_io_nanos);
+  ASSERT_EQ(on.rows.size(), 1u);
+  EXPECT_NE(on.rows[0].substr(0, 2), "0|") << "no sample below the bound";
+}
+
 class ZoneMapPersistenceTest : public ::testing::Test {
  protected:
   ZoneMapPersistenceTest()

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "engine/optimizer.h"
 #include "io/sim_disk.h"
 
@@ -345,6 +350,126 @@ TEST_F(ExecutorTest, ScanChargesSimIoOnlyWhenEnabled) {
   ctx_.charge_io = true;
   ASSERT_TRUE(Run(MakeScan("D")).ok());
   EXPECT_GT(disk_.stats().sim_nanos, t0);
+}
+
+
+// Grouped aggregates in kernel mode share one accumulator per argument
+// column and fold runs of one group id. Every aggregate must stay
+// bit-identical to the interpreter's (kernels off) on fractional values,
+// with and without an incoming selection, over interleaved groups.
+class SharedAccumulatorTest : public ::testing::Test {
+ protected:
+  SharedAccumulatorTest() : catalog_(&disk_) {
+    auto schema = std::make_shared<Schema>(
+        Schema({{"g", DataType::kString, "A"},
+                {"d", DataType::kDouble, "A"},
+                {"i", DataType::kInt64, "A"},
+                {"ts", DataType::kTimestamp, "A"}}));
+    auto a = std::make_shared<Table>("A", schema);
+    // Runs of growing length cycle through the groups, so each batch sees
+    // interleaved runs of several lengths; group z only has rows the filter
+    // below removes.
+    const char* cycle[] = {"a", "b", "a", "c", "z"};
+    size_t row = 0;
+    for (size_t run = 1; row < 10000; ++run) {
+      const std::string g = cycle[run % 5];
+      for (size_t k = 0; k < run % 37 + 1; ++k, ++row) {
+        const double d = g == "z" ? -5e6 : static_cast<double>(row) * 0.1 +
+                                               1e6 * static_cast<double>(row % 7);
+        EXPECT_TRUE(a->AppendRow({Value::String(g), Value::Double(d),
+                                  Value::Int64(static_cast<int64_t>(row) * 977 -
+                                               4000000),
+                                  Value::Timestamp(static_cast<int64_t>(row) *
+                                                   33)})
+                        .ok());
+      }
+    }
+    EXPECT_TRUE(catalog_.AddTable(a, TableKind::kActual).ok());
+  }
+
+  std::string Run(const PlanPtr& plan, bool kernels, ExecStats* stats) {
+    ExecContext ctx;
+    ctx.catalog = &catalog_;
+    ctx.charge_io = false;
+    ctx.use_simd_kernels = kernels;
+    EXPECT_TRUE(AnalyzePlan(plan, catalog_).ok());
+    auto r = ExecutePlan(plan, &ctx);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    *stats = ctx.stats;
+    if (!r.ok()) return "";
+    std::string out;
+    char buf[48];
+    for (size_t row = 0; row < (*r)->num_rows(); ++row) {
+      for (size_t c = 0; c < (*r)->num_columns(); ++c) {
+        const Value v = (*r)->GetValue(row, c);
+        if (v.type() == DataType::kDouble) {
+          std::snprintf(buf, sizeof(buf), "%a", v.dbl());  // every bit
+          out += buf;
+        } else {
+          out += v.ToString();
+        }
+        out += "|";
+      }
+      out += "\n";
+    }
+    return out;
+  }
+
+  static std::vector<AggSpec> AllAggregates() {
+    std::vector<AggSpec> aggs;
+    int n = 0;
+    for (const char* col : {"d", "i", "ts"}) {
+      for (AggFunc fn : {AggFunc::kCount, AggFunc::kSum, AggFunc::kAvg,
+                         AggFunc::kMin, AggFunc::kMax}) {
+        if (fn == AggFunc::kSum && std::string(col) == "ts") continue;
+        aggs.push_back({fn, Expr::ColumnRef(col), "agg_" + std::to_string(n++)});
+      }
+    }
+    aggs.push_back({AggFunc::kCount, nullptr, "agg_" + std::to_string(n++)});
+    return aggs;
+  }
+
+  SimDisk disk_;
+  Catalog catalog_;
+};
+
+TEST_F(SharedAccumulatorTest, BitIdenticalToInterpreter) {
+  const auto filter = [](double lo) {
+    return MakeFilter(Expr::Compare(CompareOp::kGt, Expr::ColumnRef("d"),
+                                    Expr::Lit(Value::Double(lo))),
+                      MakeScan("A"));
+  };
+  struct Input {
+    const char* name;
+    std::function<PlanPtr()> plan;
+  };
+  const std::vector<Input> inputs = {
+      {"dense", [] { return MakeScan("A"); }},
+      {"selection", [&] { return filter(2.5e5); }},
+      {"empty", [&] { return filter(1e18); }},
+  };
+  for (const Input& input : inputs) {
+    for (bool grouped : {true, false}) {
+      SCOPED_TRACE(std::string(input.name) + (grouped ? " grouped" : ""));
+      std::vector<ExprPtr> groups;
+      if (grouped) groups.push_back(Expr::ColumnRef("g"));
+      ExecStats on_stats, off_stats;
+      const std::string on =
+          Run(MakeAggregate(groups, AllAggregates(), input.plan()), true,
+              &on_stats);
+      const std::string off =
+          Run(MakeAggregate(groups, AllAggregates(), input.plan()), false,
+              &off_stats);
+      const bool empty = std::string(input.name) == "empty";
+      EXPECT_EQ(on, off);
+      // Empty input: no groups, or the one all-zero row without GROUP BY.
+      EXPECT_EQ(on.empty(), empty && grouped);
+      EXPECT_EQ(off_stats.kernel_agg_batches, 0u);
+      if (!empty) {
+        EXPECT_GT(on_stats.kernel_agg_batches, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/seismic_schema.h"
+#include "engine/executor.h"
+#include "engine/kernel.h"
 #include "io/sim_disk.h"
 
 namespace dex {
@@ -168,6 +170,81 @@ TEST_F(BinderTest, PaperQuery1PlanShape) {
   ASSERT_EQ(p->children[0]->kind, PlanKind::kAggregate);
   ASSERT_EQ(p->children[0]->children[0]->kind, PlanKind::kFilter);
   ASSERT_EQ(p->children[0]->children[0]->children[0]->kind, PlanKind::kJoin);
+}
+
+
+// The parser writes `-9` as `(0 - 9)`; the binder folds arithmetic on two
+// numeric literals so such bounds reach the kernels and the zone maps.
+TEST_F(BinderTest, LiteralArithmeticFolds) {
+  const struct {
+    const char* sql;
+    Value bound;
+  } cases[] = {
+      {"SELECT * FROM D WHERE sample_value > 2 - 5", Value::Int64(-3)},
+      {"SELECT * FROM D WHERE sample_value > -2.5", Value::Double(-2.5)},
+      {"SELECT * FROM D WHERE sample_value > -(-4)", Value::Int64(4)},
+      {"SELECT * FROM D WHERE sample_value > 3 / 2", Value::Double(1.5)},
+  };
+  for (const auto& c : cases) {
+    const PlanPtr p = MustPlan(c.sql);
+    ASSERT_EQ(p->kind, PlanKind::kFilter) << c.sql;
+    const ExprPtr& lit = p->predicate->children()[1];
+    ASSERT_EQ(lit->kind(), ExprKind::kLiteral) << c.sql;
+    EXPECT_EQ(lit->literal().type(), c.bound.type()) << c.sql;
+    EXPECT_TRUE(lit->literal() == c.bound) << c.sql;
+  }
+}
+
+TEST_F(BinderTest, NegativeBoundLowersToKernels) {
+  const PlanPtr p = MustPlan(
+      "SELECT * FROM D WHERE sample_value < -3000 AND sample_time > -1");
+  ASSERT_EQ(p->kind, PlanKind::kFilter);
+  const Schema& input = *p->children[0]->output_schema;
+  auto bound = p->predicate->Bind(input);
+  ASSERT_TRUE(bound.ok());
+  std::vector<kernel::KernelConjunct> conjuncts;
+  ASSERT_TRUE(kernel::LowerPredicate(*bound, input, &conjuncts));
+  ASSERT_EQ(conjuncts.size(), 2u);
+  EXPECT_EQ(conjuncts[0].f64, -3000.0);
+  EXPECT_EQ(conjuncts[1].i64, -1);
+}
+
+TEST_F(BinderTest, FoldingAppliesToEveryClause) {
+  const PlanPtr p = MustPlan(
+      "SELECT F.station, SUM(D.sample_value * -1) AS s FROM F "
+      "JOIN D ON F.uri = D.uri AND D.record_id > 0 - 1 "
+      "WHERE D.sample_value > -7 GROUP BY F.station HAVING SUM(D.sample_value "
+      "* -1) > -10 ORDER BY F.station");
+  const std::string plan = p->ToString();
+  EXPECT_EQ(plan.find("(0 - "), std::string::npos) << plan;
+  EXPECT_NE(plan.find("(D.record_id > -1)"), std::string::npos) << plan;
+  // HAVING still finds the select list's aggregate: no hidden duplicate.
+  EXPECT_EQ(plan.find("agg_1"), std::string::npos) << plan;
+}
+
+TEST_F(BinderTest, DivisionByZeroAndOverflowStayUnfolded) {
+  for (const char* sql :
+       {"SELECT * FROM D WHERE sample_value > 1 / 0",
+        "SELECT * FROM D WHERE sample_value > 9223372036854775807 + 1"}) {
+    const PlanPtr p = MustPlan(sql);
+    ASSERT_EQ(p->kind, PlanKind::kFilter) << sql;
+    EXPECT_EQ(p->predicate->children()[1]->kind(), ExprKind::kArithmetic)
+        << sql;
+  }
+  // ... and division by zero still fails when the filter runs.
+  auto d = catalog_.GetTable("D");
+  ASSERT_TRUE(d.ok());
+  ASSERT_TRUE((*d)->AppendRow({Value::String("u"), Value::Int64(0),
+                               Value::Timestamp(0), Value::Double(1.0)})
+                  .ok());
+  ExecContext ctx;
+  ctx.catalog = &catalog_;
+  ctx.charge_io = false;
+  auto r = ExecutePlan(MustPlan("SELECT * FROM D WHERE sample_value > 1 / 0"),
+                       &ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("division by zero"), std::string::npos)
+      << r.status().ToString();
 }
 
 }  // namespace
