@@ -89,9 +89,11 @@ void BM_MountTransform(benchmark::State& state) {
 BENCHMARK(BM_MountTransform);
 
 void BM_SelectMount(benchmark::State& state) {
-  // The combined select-mount after decode: transform the file, select a
-  // one-hour window and gather the survivors, as Mounter::Mount does.
-  // range(0) = 1 runs the selection kernels, 0 the expression interpreter.
+  // The combined select-mount after decode, as Mounter::Mount does it:
+  // transform the file, then keep a one-hour window. range(0) = 1 is the
+  // kernel mode, which resolves the window through the table's record-run
+  // index and copies the ranges; 0 runs the expression interpreter over
+  // every row and gathers the survivors.
   const std::vector<mseed::DecodedRecord> records = DecodedDay();
   const SchemaPtr schema = MakeDataSchema();
   const ExprPtr window = Expr::And(
@@ -105,18 +107,24 @@ void BM_SelectMount(benchmark::State& state) {
     Table table("D", schema);
     benchmark::DoNotOptimize(
         AppendFileToDataTable("/repo/f.mseed", records, &table));
-    Batch all;
-    all.schema = schema;
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      all.columns.push_back(table.column(c));
-    }
-    std::vector<uint32_t> selected;
-    benchmark::DoNotOptimize(selector.Select(&all, &selected));
     Table filtered("D", schema);
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      filtered.mutable_column(c)->AppendGather(*table.column(c), selected);
+    std::vector<RowRange> ranges;
+    bool exact = false;
+    if (selector.ResolveRanges(table, &ranges, &exact) && exact) {
+      benchmark::DoNotOptimize(filtered.AppendRanges(table, ranges));
+    } else {
+      Batch all;
+      all.schema = schema;
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        all.columns.push_back(table.column(c));
+      }
+      std::vector<uint32_t> selected;
+      benchmark::DoNotOptimize(selector.Select(&all, &selected));
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        filtered.mutable_column(c)->AppendGather(*table.column(c), selected);
+      }
+      benchmark::DoNotOptimize(filtered.CommitAppendedRows(selected.size()));
     }
-    benchmark::DoNotOptimize(filtered.CommitAppendedRows(selected.size()));
     benchmark::ClobberMemory();
   }
   state.SetLabel(state.range(0) != 0 ? "kernels" : "interpreter");

@@ -147,17 +147,20 @@ void PrintQueryStats(const dex::QueryStats& stats, bool verbose) {
     const auto& ex = ts.exec;
     if (ex.kernel_filter_batches > 0 || ex.kernel_agg_batches > 0 ||
         ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0 ||
-        ex.kernel_join_batches > 0 || ex.scalar_join_batches > 0) {
+        ex.kernel_join_batches > 0 || ex.scalar_join_batches > 0 ||
+        ex.range_skipped_rows > 0) {
       std::printf("   kernels: filter %llu vec / %llu scalar, "
                   "join %llu run-keyed / %llu row, "
-                  "agg %llu vec / %llu scalar, %llu compactions\n",
+                  "agg %llu vec / %llu scalar, %llu compactions, "
+                  "%llu rows skipped by time range\n",
                   static_cast<unsigned long long>(ex.kernel_filter_batches),
                   static_cast<unsigned long long>(ex.scalar_filter_batches),
                   static_cast<unsigned long long>(ex.kernel_join_batches),
                   static_cast<unsigned long long>(ex.scalar_join_batches),
                   static_cast<unsigned long long>(ex.kernel_agg_batches),
                   static_cast<unsigned long long>(ex.scalar_agg_batches),
-                  static_cast<unsigned long long>(ex.selection_compactions));
+                  static_cast<unsigned long long>(ex.selection_compactions),
+                  static_cast<unsigned long long>(ex.range_skipped_rows));
     }
     for (const std::string& w : stats.warnings) {
       std::printf("   warning: %s\n", w.c_str());

@@ -298,16 +298,18 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
 Status Database::SyncQuarantineTable() {
   if (options_.mode != IngestionMode::kLazy) return Status::OK();
   std::lock_guard<std::mutex> lock(publish_mu_);
-  if (registry_->health_version() == quarantine_table_version_) {
-    return Status::OK();
-  }
+  // Read the version before building: a quarantine that lands while the
+  // table is built then leaves the version stale, so the next sync rebuilds
+  // instead of marking a table that misses it as current.
+  const uint64_t version = registry_->health_version();
+  if (version == quarantine_table_version_) return Status::OK();
   // Copy-on-write publish: clone the latest epoch, swap in the rebuilt
   // QUARANTINE table, publish. In-flight queries keep their pinned epochs.
   DEX_ASSIGN_OR_RETURN(TablePtr q_table, registry_->BuildQuarantineTable());
   std::unique_ptr<Catalog> next = pinned_latest_->catalog->Clone();
   DEX_RETURN_NOT_OK(next->ReplaceTable(std::move(q_table)));
   pinned_latest_ = epochs_->Publish(std::move(next));
-  quarantine_table_version_ = registry_->health_version();
+  quarantine_table_version_ = version;
   return Status::OK();
 }
 
@@ -525,18 +527,21 @@ Result<QueryResult> Database::RunExplainAnalyze(const std::string& sql,
   const ExecStats& ex = ts.exec;
   if (ex.kernel_filter_batches > 0 || ex.kernel_agg_batches > 0 ||
       ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0 ||
-      ex.kernel_join_batches > 0 || ex.scalar_join_batches > 0) {
+      ex.kernel_join_batches > 0 || ex.scalar_join_batches > 0 ||
+      ex.range_skipped_rows > 0) {
     std::snprintf(line, sizeof(line),
                   "\nkernels: filter %llu vectorized / %llu scalar, "
                   "join %llu run-keyed / %llu row, "
-                  "agg %llu vectorized / %llu scalar, %llu compactions",
+                  "agg %llu vectorized / %llu scalar, %llu compactions, "
+                  "%llu rows skipped by time range",
                   static_cast<unsigned long long>(ex.kernel_filter_batches),
                   static_cast<unsigned long long>(ex.scalar_filter_batches),
                   static_cast<unsigned long long>(ex.kernel_join_batches),
                   static_cast<unsigned long long>(ex.scalar_join_batches),
                   static_cast<unsigned long long>(ex.kernel_agg_batches),
                   static_cast<unsigned long long>(ex.scalar_agg_batches),
-                  static_cast<unsigned long long>(ex.selection_compactions));
+                  static_cast<unsigned long long>(ex.selection_compactions),
+                  static_cast<unsigned long long>(ex.range_skipped_rows));
     text += line;
   }
   if (ts.is_partial) {
@@ -722,11 +727,12 @@ Result<RefreshStats> Database::Refresh() {
     DEX_RETURN_NOT_OK(next->ReplaceTable(std::move(new_r)));
     // Quarantine decisions made by the scan become queryable in the same
     // epoch (folded here, under the same lock, to publish once not twice).
-    if (registry_->health_version() != quarantine_table_version_) {
+    const uint64_t version = registry_->health_version();  // read first
+    if (version != quarantine_table_version_) {
       DEX_ASSIGN_OR_RETURN(TablePtr q_table,
                            registry_->BuildQuarantineTable());
       DEX_RETURN_NOT_OK(next->ReplaceTable(std::move(q_table)));
-      quarantine_table_version_ = registry_->health_version();
+      quarantine_table_version_ = version;
     }
     pinned_latest_ = epochs_->Publish(std::move(next));
     stats.epoch = pinned_latest_->id;

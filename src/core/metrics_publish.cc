@@ -94,6 +94,7 @@ void PublishQueryMetrics(const QueryStats& stats,
   m.AddCounter("kernel.agg_batches", ex.kernel_agg_batches);
   m.AddCounter("kernel.agg_scalar_batches", ex.scalar_agg_batches);
   m.AddCounter("kernel.selection_compactions", ex.selection_compactions);
+  m.AddCounter("kernel.range_skipped_rows", ex.range_skipped_rows);
 }
 
 void PublishOpenMetrics(const OpenStats& stats) {

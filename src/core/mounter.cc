@@ -223,29 +223,54 @@ Result<TablePtr> Mounter::Mount(const std::string& table_name,
 
   // Combined select-mount: apply the fused selection before handing the
   // partial table to the plan, through the same predicate → selection path
-  // as FilterOp (kernels unless the query turned them off).
+  // as FilterOp (kernels unless the query turned them off). In kernel mode
+  // a time window first resolves to row ranges through the table's
+  // record-run index: a predicate that is only the window is copied range
+  // by range, with no selection pass; any other conjunct refines a
+  // selection seeded with the range rows.
   TablePtr out = table;
   if (fused_predicate != nullptr) {
     DEX_ASSIGN_OR_RETURN(ExprPtr bound, fused_predicate->Bind(*table->schema()));
     const kernel::PredicateSelector selector(
         std::move(bound), *table->schema(),
         pruning == nullptr || pruning->use_simd_kernels);
-    Batch all;
-    all.schema = table->schema();
-    for (size_t c = 0; c < table->num_columns(); ++c) {
-      all.columns.push_back(table->column(c));
+    std::vector<RowRange> ranges;
+    bool exact = false;
+    const bool ranged = selector.ResolveRanges(*table, &ranges, &exact);
+    if (ranged && outcome != nullptr) {
+      outcome->counters.range_skipped_rows +=
+          table->num_rows() - CountRows(ranges);
     }
-    std::vector<uint32_t> selected;
-    DEX_RETURN_NOT_OK(selector.Select(&all, &selected));
-    // Always a gathered copy, even when every row passes: the copy shares
-    // `table`'s uri dictionary and Table::ByteSize splits a shared
+    // The output is always a copy, even when every row passes: the copy
+    // shares `table`'s uri dictionary and Table::ByteSize splits a shared
     // dictionary between its holders, so handing out `table` itself would
-    // change what the cache and the memory budget charge.
+    // change what the cache and the memory budget charge. A range copy and
+    // a gather of the same rows weigh the same (Table::AppendRanges).
     auto filtered = std::make_shared<Table>(table_name, table->schema());
-    for (size_t c = 0; c < table->num_columns(); ++c) {
-      filtered->mutable_column(c)->AppendGather(*table->column(c), selected);
+    if (ranged && exact) {
+      DEX_RETURN_NOT_OK(filtered->AppendRanges(*table, ranges));
+    } else {
+      Batch all;
+      all.schema = table->schema();
+      for (size_t c = 0; c < table->num_columns(); ++c) {
+        all.columns.push_back(table->column(c));
+      }
+      if (ranged) {
+        all.has_selection = true;
+        all.selection.reserve(CountRows(ranges));
+        for (const RowRange& r : ranges) {
+          for (size_t i = r.begin; i < r.end; ++i) {
+            all.selection.push_back(static_cast<uint32_t>(i));
+          }
+        }
+      }
+      std::vector<uint32_t> selected;
+      DEX_RETURN_NOT_OK(selector.Select(&all, &selected));
+      for (size_t c = 0; c < table->num_columns(); ++c) {
+        filtered->mutable_column(c)->AppendGather(*table->column(c), selected);
+      }
+      DEX_RETURN_NOT_OK(filtered->CommitAppendedRows(selected.size()));
     }
-    DEX_RETURN_NOT_OK(filtered->CommitAppendedRows(selected.size()));
     out = filtered;
   }
 

@@ -100,6 +100,9 @@ class Mounter {
     uint64_t frames_skipped_zonemap = 0;   // Steim frames skipped selectively
     uint64_t frames_decoded_zonemap = 0;   // frames decoded in selective mode
     uint64_t zonemap_fallbacks = 0;        // failed verification → full decode
+    // Rows of select-mounts outside their time window, never selected or
+    // copied; stage 2 reports them in ExecStats::range_skipped_rows.
+    uint64_t range_skipped_rows = 0;
 
     MountCounters& operator+=(const MountCounters& o) {
       mounts += o.mounts;
@@ -115,6 +118,7 @@ class Mounter {
       frames_skipped_zonemap += o.frames_skipped_zonemap;
       frames_decoded_zonemap += o.frames_decoded_zonemap;
       zonemap_fallbacks += o.zonemap_fallbacks;
+      range_skipped_rows += o.range_skipped_rows;
       return *this;
     }
   };

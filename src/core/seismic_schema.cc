@@ -114,8 +114,13 @@ Status AppendFileToDataTable(const std::string& uri,
                              const std::vector<mseed::DecodedRecord>& records,
                              Table* data_table) {
   DEX_CHECK(data_table != nullptr);
+  const size_t first = data_table->num_rows();
   size_t total = 0;
-  for (const mseed::DecodedRecord& rec : records) total += rec.samples.size();
+  std::vector<size_t> run_starts;  // one run per record that has rows
+  for (const mseed::DecodedRecord& rec : records) {
+    if (!rec.samples.empty()) run_starts.push_back(first + total);
+    total += rec.samples.size();
+  }
   // One growth per column per file. The columns grow geometrically, so Ei's
   // many-file loads into one table stay linear; an exact reserve per call
   // would defeat that and turn them quadratic.
@@ -147,7 +152,12 @@ Status AppendFileToDataTable(const std::string& uri,
     times += n;
     values += n;
   }
-  return data_table->CommitAppendedRows(total);
+  DEX_RETURN_NOT_OK(data_table->CommitAppendedRows(total));
+  // Each record's times are t0 plus a truncated offset that grows with the
+  // sample index, and a valid header keeps every time inside int64
+  // (RecordHeader::Validate), so each record is one non-decreasing run.
+  data_table->ExtendRunIndex(2, first, run_starts);
+  return Status::OK();
 }
 
 }  // namespace dex

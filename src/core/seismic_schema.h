@@ -48,7 +48,9 @@ mseed::ScanResult ScanResultFromTables(const Table& f_table,
 /// a time: the transform step of both ALi's mount and Ei's load. Record i
 /// gets record_id i; a sparse record (zone-map frame skip) places each value
 /// at its original sample index, so sample_time stays exact. A file with no
-/// samples appends nothing, not even its uri to the dictionary.
+/// samples appends nothing, not even its uri to the dictionary. Each record
+/// with rows becomes one run of the table's record-run index over
+/// sample_time (Table::ExtendRunIndex), which successive calls extend.
 Status AppendFileToDataTable(const std::string& uri,
                              const std::vector<mseed::DecodedRecord>& records,
                              Table* data_table);

@@ -985,6 +985,7 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
   }
   stats->stage2_nanos = NowNanos() - t2;
   stats->exec = ctx.stats;
+  stats->exec.range_skipped_rows += stats->mount.counters.range_skipped_rows;
   return result;
 }
 

@@ -52,10 +52,8 @@ Result<mseed::RecordHeader> ParseHeaderLine(const std::string& line,
     return Status::Corruption("metadata line " + std::to_string(line_no) +
                               " missing start=/rate=/samples=");
   }
-  if (h.sample_rate_hz <= 0.0) {
-    return Status::Corruption("non-positive rate at line " +
-                              std::to_string(line_no));
-  }
+  DEX_RETURN_NOT_OK(
+      h.Validate().WithContext("line " + std::to_string(line_no)));
   return h;
 }
 

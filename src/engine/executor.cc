@@ -93,8 +93,10 @@ Result<TablePtr> Drain(PhysOp* op, const std::string& name) {
 // Source operators
 // ---------------------------------------------------------------------------
 
-/// Streams a materialized table in kBatchSize chunks. The workhorse behind
-/// scan, result-scan, cache-scan and (post-ingestion) mount.
+/// Streams a materialized table in kBatchSize chunks: every row, or only the
+/// rows of the ranges a subclass restricted it to (a batch may span
+/// ranges). The workhorse behind scan, result-scan, cache-scan and
+/// (post-ingestion) mount.
 class TableSourceOp : public PhysOp {
  public:
   TableSourceOp(SchemaPtr schema, TablePtr table)
@@ -103,22 +105,49 @@ class TableSourceOp : public PhysOp {
   Status Open() override { return Status::OK(); }
 
   Result<bool> Next(Batch* out) override {
-    if (table_ == nullptr || pos_ >= table_->num_rows()) return false;
-    const size_t n = std::min(kBatchSize, table_->num_rows() - pos_);
+    if (table_ == nullptr) return false;
+    if (!ranged_) {
+      if (table_->num_rows() > 0) ranges_.push_back({0, table_->num_rows()});
+      ranged_ = true;
+    }
+    if (range_ >= ranges_.size()) return false;
     out->schema = schema_;
     out->columns.clear();
     for (size_t c = 0; c < table_->num_columns(); ++c) {
-      auto col = std::make_shared<Column>(table_->column(c)->type());
-      col->AppendRange(*table_->column(c), pos_, n);
-      out->columns.push_back(std::move(col));
+      out->columns.push_back(
+          std::make_shared<Column>(table_->column(c)->type()));
     }
-    pos_ += n;
+    for (size_t n = 0; n < kBatchSize && range_ < ranges_.size();) {
+      const RowRange& r = ranges_[range_];
+      const size_t take = std::min(kBatchSize - n, r.end - pos_);
+      for (size_t c = 0; c < table_->num_columns(); ++c) {
+        out->columns[c]->AppendRange(*table_->column(c), pos_, take);
+      }
+      n += take;
+      pos_ += take;
+      if (pos_ == r.end && ++range_ < ranges_.size()) {
+        pos_ = ranges_[range_].begin;
+      }
+    }
     return true;
   }
 
  protected:
+  /// Streams only the rows of `ranges` (ascending, non-empty) from now on.
+  void RestrictTo(std::vector<RowRange> ranges) {
+    ranges_ = std::move(ranges);
+    range_ = 0;
+    pos_ = ranges_.empty() ? 0 : ranges_[0].begin;
+    ranged_ = true;
+  }
+
   TablePtr table_;
-  size_t pos_ = 0;
+
+ private:
+  std::vector<RowRange> ranges_;
+  bool ranged_ = false;  // ranges_ set: by RestrictTo, else at the first Next
+  size_t range_ = 0;     // current range
+  size_t pos_ = 0;       // next row of the current range
 };
 
 class ScanOp : public TableSourceOp {
@@ -177,16 +206,37 @@ class MountOp : public TableSourceOp {
   ExecContext* ctx_;
 };
 
+/// The cache-scan access path. `filter` is the bound predicate of the Filter
+/// directly above (null if none): in kernel mode its conjuncts on the
+/// table's run-indexed column (kernel::ResolveRowRanges) restrict the scan
+/// to the rows of a time window. The Filter still applies the whole
+/// predicate, so the restriction only drops rows it would reject.
 class CacheScanOp : public TableSourceOp {
  public:
   CacheScanOp(SchemaPtr schema, std::string table_name, std::string uri,
-              ExecContext* ctx)
+              const ExprPtr& filter, ExecContext* ctx)
       : TableSourceOp(std::move(schema), nullptr),
         table_name_(std::move(table_name)),
         uri_(std::move(uri)),
-        ctx_(ctx) {}
+        ctx_(ctx) {
+    if (filter != nullptr && ctx_->use_simd_kernels &&
+        !kernel::LowerPredicate(filter, *schema_, &conjuncts_)) {
+      conjuncts_.clear();
+    }
+  }
 
   Status Open() override {
+    DEX_RETURN_NOT_OK(Fetch());
+    std::vector<RowRange> ranges;
+    if (kernel::ResolveRowRanges(*table_, conjuncts_, &ranges)) {
+      ctx_->stats.range_skipped_rows += table_->num_rows() - CountRows(ranges);
+      RestrictTo(std::move(ranges));
+    }
+    return Status::OK();
+  }
+
+ private:
+  Status Fetch() {
     if (!ctx_->cache_fn) {
       return Status::Internal("cache-scan operator present but no cache_fn set");
     }
@@ -208,9 +258,9 @@ class CacheScanOp : public TableSourceOp {
     return cached.status();
   }
 
- private:
   std::string table_name_;
   std::string uri_;
+  std::vector<kernel::KernelConjunct> conjuncts_;  // empty: scan every row
   ExecContext* ctx_;
 };
 
@@ -1476,7 +1526,10 @@ class InterruptCheckOp : public PhysOp {
 // Physical planner
 // ---------------------------------------------------------------------------
 
-Result<PhysOpPtr> BuildOp(const PlanPtr& plan, ExecContext* ctx);
+/// `filter`, when set, is the bound predicate of the Filter directly above
+/// `plan`; a cache-scan restricts itself with it.
+Result<PhysOpPtr> BuildOp(const PlanPtr& plan, ExecContext* ctx,
+                          const ExprPtr& filter = nullptr);
 
 /// Ei fast path: Join(left, Scan(t)) or Join(left, Filter(Scan(t))) where t
 /// has an index exactly matching the right-side equi-key columns.
@@ -1510,7 +1563,8 @@ Result<PhysOpPtr> TryBuildIndexJoin(const PlanPtr& plan, const JoinKeys& keys,
                                    right_filter, ctx));
 }
 
-Result<PhysOpPtr> BuildOpInner(const PlanPtr& plan, ExecContext* ctx) {
+Result<PhysOpPtr> BuildOpInner(const PlanPtr& plan, ExecContext* ctx,
+                               const ExprPtr& filter) {
   switch (plan->kind) {
     case PlanKind::kScan: {
       DEX_ASSIGN_OR_RETURN(TablePtr table, ctx->catalog->GetTable(plan->table_name));
@@ -1529,12 +1583,13 @@ Result<PhysOpPtr> BuildOpInner(const PlanPtr& plan, ExecContext* ctx) {
       return PhysOpPtr(new MountOp(plan->output_schema, plan->table_name,
                                    plan->uri, plan->predicate, ctx));
     case PlanKind::kCacheScan:
-      return PhysOpPtr(
-          new CacheScanOp(plan->output_schema, plan->table_name, plan->uri, ctx));
+      return PhysOpPtr(new CacheScanOp(plan->output_schema, plan->table_name,
+                                       plan->uri, filter, ctx));
     case PlanKind::kFilter: {
-      DEX_ASSIGN_OR_RETURN(PhysOpPtr child, BuildOp(plan->children[0], ctx));
       DEX_ASSIGN_OR_RETURN(
           ExprPtr bound, plan->predicate->Bind(*plan->children[0]->output_schema));
+      DEX_ASSIGN_OR_RETURN(PhysOpPtr child,
+                           BuildOp(plan->children[0], ctx, bound));
       return PhysOpPtr(new FilterOp(plan->output_schema, std::move(bound),
                                     std::move(child), ctx));
     }
@@ -1608,8 +1663,9 @@ Result<PhysOpPtr> BuildOpInner(const PlanPtr& plan, ExecContext* ctx) {
   return Status::Internal("unreachable plan kind in BuildOp");
 }
 
-Result<PhysOpPtr> BuildOp(const PlanPtr& plan, ExecContext* ctx) {
-  DEX_ASSIGN_OR_RETURN(PhysOpPtr op, BuildOpInner(plan, ctx));
+Result<PhysOpPtr> BuildOp(const PlanPtr& plan, ExecContext* ctx,
+                          const ExprPtr& filter) {
+  DEX_ASSIGN_OR_RETURN(PhysOpPtr op, BuildOpInner(plan, ctx, filter));
   // StageBreak is transparent (its child is already wrapped); profiling it
   // again would only double the decorator overhead on the same pull path.
   if (ctx->profiler != nullptr && plan->kind != PlanKind::kStageBreak) {

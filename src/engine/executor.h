@@ -27,8 +27,11 @@ struct ExecStats {
   // expression interpreter, and selection vectors materialized at
   // kernel-unaware operator boundaries. The filter counts are FilterOp's
   // alone: join residuals and fused mount selections share its
-  // PredicateSelector but are not counted. The join counts are probe
-  // batches of HashJoinOp: run-keyed (kernel) vs. row at a time.
+  // PredicateSelector but are not counted. They count batches, not rows,
+  // so kernel_filter_batches falls when a time range restricts the source
+  // below the filter (a cache-scan of one window hands it one batch, not
+  // the file's). The join counts are probe batches of HashJoinOp:
+  // run-keyed (kernel) vs. row at a time.
   uint64_t kernel_filter_batches = 0;
   uint64_t scalar_filter_batches = 0;
   uint64_t kernel_join_batches = 0;
@@ -36,6 +39,10 @@ struct ExecStats {
   uint64_t kernel_agg_batches = 0;
   uint64_t scalar_agg_batches = 0;
   uint64_t selection_compactions = 0;
+  // Rows a time range kept out of cache-scans and select-mounts
+  // (kernel::ResolveRowRanges): never streamed, filtered or copied. The
+  // select-mounts' share arrives through the mount counters.
+  uint64_t range_skipped_rows = 0;
 
   ExecStats& operator+=(const ExecStats& o) {
     rows_scanned += o.rows_scanned;
@@ -51,6 +58,7 @@ struct ExecStats {
     kernel_agg_batches += o.kernel_agg_batches;
     scalar_agg_batches += o.scalar_agg_batches;
     selection_compactions += o.selection_compactions;
+    range_skipped_rows += o.range_skipped_rows;
     return *this;
   }
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -153,6 +154,70 @@ bool LowerPredicate(const ExprPtr& pred, const Schema& schema,
     KernelConjunct kc;
     if (!LowerConjunct(c, schema, &kc)) return false;
     out->push_back(kc);
+  }
+  return true;
+}
+
+bool ResolveRowRanges(const Table& table,
+                      const std::vector<KernelConjunct>& conjuncts,
+                      std::vector<RowRange>* ranges, bool* exact) {
+  const std::vector<size_t>* starts = table.run_starts();
+  if (starts == nullptr) return false;
+  const int col = static_cast<int>(table.run_column());
+  int64_t lo = std::numeric_limits<int64_t>::min();
+  int64_t hi = std::numeric_limits<int64_t>::max();
+  bool bounded = false;
+  bool empty = false;  // a strict bound past an int64 extreme
+  bool all = true;
+  for (const KernelConjunct& c : conjuncts) {
+    if (c.col != col || c.is_f64 || c.op == CompareOp::kNe) {
+      all = false;
+      continue;
+    }
+    bounded = true;
+    switch (c.op) {
+      case CompareOp::kEq:
+        lo = std::max(lo, c.i64);
+        hi = std::min(hi, c.i64);
+        break;
+      case CompareOp::kGe:
+        lo = std::max(lo, c.i64);
+        break;
+      case CompareOp::kGt:
+        if (c.i64 == std::numeric_limits<int64_t>::max()) empty = true;
+        else lo = std::max(lo, c.i64 + 1);
+        break;
+      case CompareOp::kLe:
+        hi = std::min(hi, c.i64);
+        break;
+      case CompareOp::kLt:
+        if (c.i64 == std::numeric_limits<int64_t>::min()) empty = true;
+        else hi = std::min(hi, c.i64 - 1);
+        break;
+      case CompareOp::kNe:
+        break;
+    }
+  }
+  if (!bounded) return false;
+  if (exact != nullptr) *exact = all;
+  ranges->clear();
+  if (empty || lo > hi) return true;
+  const int64_t* t = table.column(static_cast<size_t>(col))->data_i64();
+  for (size_t r = 0; r < starts->size(); ++r) {
+    const size_t begin = (*starts)[r];
+    const size_t end =
+        r + 1 < starts->size() ? (*starts)[r + 1] : table.num_rows();
+    if (begin == end || t[begin] > hi || t[end - 1] < lo) continue;
+    const size_t b =
+        static_cast<size_t>(std::lower_bound(t + begin, t + end, lo) - t);
+    const size_t e =
+        static_cast<size_t>(std::upper_bound(t + b, t + end, hi) - t);
+    if (b == e) continue;
+    if (!ranges->empty() && ranges->back().end == b) {
+      ranges->back().end = e;
+    } else {
+      ranges->push_back({b, e});
+    }
   }
   return true;
 }

@@ -8,6 +8,7 @@
 #include "engine/batch.h"
 #include "engine/expr.h"
 #include "storage/schema.h"
+#include "storage/table.h"
 
 namespace dex::kernel {
 
@@ -62,6 +63,20 @@ struct KernelConjunct {
 bool LowerPredicate(const ExprPtr& pred, const Schema& schema,
                     std::vector<KernelConjunct>* out);
 
+/// Resolves `conjuncts` against `table`'s record-run index (Table::
+/// run_starts): the conjuncts on the indexed column — `=`, `<`, `<=`, `>`,
+/// `>=` against int64 literals; `<>` never restricts — intersect to one
+/// inclusive bound [lo, hi], and each run contributes its rows
+/// [lower_bound(lo), upper_bound(hi)). `*ranges` receives them ascending,
+/// non-empty and merged where adjacent; every row that satisfies all the
+/// conjuncts lies inside them. Returns false — no restriction, every row is
+/// a candidate — when the table has no run index or no conjunct bounds its
+/// column. `*exact` (optional) tells whether every conjunct was resolved,
+/// i.e. the ranges hold exactly the satisfying rows.
+bool ResolveRowRanges(const Table& table,
+                      const std::vector<KernelConjunct>& conjuncts,
+                      std::vector<RowRange>* ranges, bool* exact = nullptr);
+
 /// \brief The one way a bound predicate turns a batch into a selection
 /// vector, shared by FilterOp, the join residual filters and the mount's
 /// fused select. The predicate is lowered once, at construction; Select()
@@ -83,6 +98,13 @@ class PredicateSelector {
   /// take it out of the batch); the interpreter first compacts the batch, so
   /// its indices refer to the batch's new dense columns.
   Status Select(Batch* batch, std::vector<uint32_t>* selected) const;
+
+  /// ResolveRowRanges over this predicate's lowered conjuncts; false on the
+  /// interpreter path, so with the kernels off every row stays a candidate.
+  bool ResolveRanges(const Table& table, std::vector<RowRange>* ranges,
+                     bool* exact = nullptr) const {
+    return uses_kernels_ && ResolveRowRanges(table, conjuncts_, ranges, exact);
+  }
 
  private:
   ExprPtr predicate_;

@@ -1,5 +1,7 @@
 #include "mseed/record.h"
 
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 
 namespace dex::mseed {
@@ -50,6 +52,30 @@ void RecordHeader::AppendTo(std::string* out) const {
   out->append(kSerializedBytes - (out->size() - start), '\0');
 }
 
+Status RecordHeader::Validate() const {
+  const auto rate = [this] {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%g", sample_rate_hz);
+    return std::string(text);
+  };
+  if (!(sample_rate_hz > 0.0 && sample_rate_hz <= 1e6)) {  // NaN fails too
+    return Status::Corruption("implausible sample rate " + rate() +
+                              " in record header");
+  }
+  constexpr int64_t kLimit = int64_t{1} << 62;
+  const double span =
+      num_samples == 0 ? 0.0 : (num_samples - 1) * 1000.0 / sample_rate_hz;
+  const double last = static_cast<double>(start_time_ms) + span;
+  if (start_time_ms > kLimit || start_time_ms < -kLimit || span > 0x1p62 ||
+      std::fabs(last) > 0x1p62) {
+    return Status::Corruption("record sample times overflow: start " +
+                              std::to_string(start_time_ms) + " ms, " +
+                              std::to_string(num_samples) + " samples at " +
+                              rate() + " Hz");
+  }
+  return Status::OK();
+}
+
 Result<RecordHeader> RecordHeader::Parse(const std::string& data, size_t offset) {
   if (offset + kSerializedBytes > data.size()) {
     return Status::Corruption("truncated record header at offset " +
@@ -78,9 +104,7 @@ Result<RecordHeader> RecordHeader::Parse(const std::string& data, size_t offset)
   h.data_bytes = ReadLE<uint32_t>(data, pos);
   pos += 4;
   h.encoding = static_cast<uint8_t>(data[pos]);
-  if (h.sample_rate_hz < 0.0 || h.sample_rate_hz > 1e6) {
-    return Status::Corruption("implausible sample rate in record header");
-  }
+  DEX_RETURN_NOT_OK(h.Validate());
   if (h.encoding != 1 && h.encoding != 2) {
     return Status::Corruption("unknown waveform encoding " +
                               std::to_string(h.encoding));

@@ -29,6 +29,13 @@ struct RecordHeader {
   uint32_t data_bytes = 0;     // length of the compressed payload that follows
   uint8_t encoding = 1;        // 1 = Steim1, 2 = Steim2
 
+  /// OK when every sample time is defined: a finite rate in (0, 1e6] Hz,
+  /// and a first sample time, span (num_samples - 1) * 1000 / rate and last
+  /// sample time (computed in double) all within +-2^62 ms, so neither the
+  /// per-sample offset cast nor `start + offset` can overflow int64. Both
+  /// formats' parsers reject a header that fails it as corrupt.
+  Status Validate() const;
+
   /// Epoch millis of the last sample.
   int64_t EndTimeMs() const {
     if (num_samples == 0 || sample_rate_hz <= 0.0) return start_time_ms;

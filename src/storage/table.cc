@@ -57,6 +57,31 @@ Status Table::CommitAppendedRows(size_t n) {
   return Status::OK();
 }
 
+Status Table::AppendRanges(const Table& src,
+                           const std::vector<RowRange>& ranges) {
+  if (src.num_columns() != num_columns()) {
+    return Status::InvalidArgument("column count mismatch appending '" +
+                                   src.name_ + "' to '" + name_ + "'");
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    Column* col = columns_[c].get();
+    if (ranges.empty()) col->AppendRange(*src.columns_[c], 0, 0);
+    for (const RowRange& r : ranges) {
+      col->AppendRange(*src.columns_[c], r.begin, r.end - r.begin);
+    }
+  }
+  return CommitAppendedRows(CountRows(ranges));
+}
+
+void Table::ExtendRunIndex(size_t column, size_t first,
+                           const std::vector<size_t>& starts) {
+  if (run_rows_ != first || (has_run_index_ && run_column_ != column)) return;
+  has_run_index_ = true;
+  run_column_ = column;
+  run_starts_.insert(run_starts_.end(), starts.begin(), starts.end());
+  run_rows_ = num_rows_;
+}
+
 std::shared_ptr<Table> Table::SelectColumns(
     const std::vector<size_t>& indices) const {
   auto schema = std::make_shared<Schema>();

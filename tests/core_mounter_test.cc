@@ -84,6 +84,58 @@ TEST_F(MounterTest, MountChargesSimulatedRead) {
   EXPECT_GT(disk_.stats().sim_nanos, t0);
 }
 
+// In kernel mode a time window resolves to row ranges: a bare window is
+// copied range by range, any other conjunct refines a selection seeded with
+// the range rows. Either way the output equals the interpreter's gather of
+// the same selection row for row and in ByteSize, an empty window included
+// (its uri column still adopts the source dictionary): ByteSize feeds the
+// memory budget and the sharded gather's network charge.
+TEST_F(MounterTest, RangeSelectEqualsTheGatheredSelectionInRowsAndBytes) {
+  // No cache: each output is then the only holder of its uri dictionary, so
+  // two outputs alive at once weigh alike.
+  Mounter mounter(&registry_, nullptr, nullptr, &format_);
+  const auto time = [](CompareOp op, int64_t ms) {
+    return Expr::Compare(op, Expr::ColumnRef("sample_time"),
+                         Expr::Lit(Value::Timestamp(ms)));
+  };
+  struct Case {
+    const char* name;
+    ExprPtr pred;
+    uint64_t skipped;  // rows outside the resolved ranges
+  };
+  const Case cases[] = {
+      // Keeps t = 1000, 2000 of the first record and 100000, 101000 of the
+      // second.
+      {"window", Expr::And(time(CompareOp::kGe, 1000),
+                           time(CompareOp::kLe, 101000)),
+       3},
+      {"empty_window", time(CompareOp::kGt, 200000), 7},
+      {"window_and_value",
+       Expr::And(time(CompareOp::kGe, 1000),
+                 Expr::Compare(CompareOp::kGt, Expr::ColumnRef("sample_value"),
+                               Expr::Lit(Value::Double(0)))),
+       1},
+  };
+  PruningOptions kernels;
+  PruningOptions interpreter;
+  interpreter.use_simd_kernels = false;
+  for (const Case& c : cases) {
+    Mounter::MountOutcome on_outcome, off_outcome;
+    auto on = mounter.Mount(kDataTableName, uri_, c.pred, &on_outcome, nullptr,
+                            &kernels);
+    auto off = mounter.Mount(kDataTableName, uri_, c.pred, &off_outcome,
+                             nullptr, &interpreter);
+    ASSERT_TRUE(on.ok()) << on.status().ToString();
+    ASSERT_TRUE(off.ok()) << off.status().ToString();
+    EXPECT_EQ(dex::testing::RowStrings(**on), dex::testing::RowStrings(**off))
+        << c.name;
+    EXPECT_EQ((*on)->ByteSize(), (*off)->ByteSize()) << c.name;
+    EXPECT_EQ((*on)->column(0)->dict()->size(), 1u) << c.name;
+    EXPECT_EQ(on_outcome.counters.range_skipped_rows, c.skipped) << c.name;
+    EXPECT_EQ(off_outcome.counters.range_skipped_rows, 0u) << c.name;
+  }
+}
+
 TEST_F(MounterTest, FusedPredicateFilters) {
   Mounter mounter(&registry_, &cache_, nullptr, &format_);
   const ExprPtr pred = Expr::Compare(

@@ -174,5 +174,83 @@ TEST(DataTableBuilder, ManyFilesAppendIntoOneTableAsEiLoadsThem) {
   ExpectIdentical(built, reference, "40 files");
 }
 
+/// Checks that `table` has a record-run index over sample_time whose runs
+/// start at `starts` and never decrease.
+void ExpectRuns(const Table& table, const std::vector<size_t>& starts,
+                const std::string& what) {
+  ASSERT_NE(table.run_starts(), nullptr) << what;
+  EXPECT_EQ(table.run_column(), 2u) << what;
+  EXPECT_EQ(*table.run_starts(), starts) << what;
+  for (size_t r = 0; r < starts.size(); ++r) {
+    const size_t end = r + 1 < starts.size() ? starts[r + 1] : table.num_rows();
+    for (size_t i = starts[r] + 1; i < end; ++i) {
+      EXPECT_LE(table.column(2)->GetInt64(i - 1), table.column(2)->GetInt64(i))
+          << what << " row " << i;
+    }
+  }
+}
+
+TEST(DataTableBuilder, EachRecordWithRowsIsOneRunAndCallsExtendTheIndex) {
+  for (double rate : kRates) {
+    const std::string what = "rate " + std::to_string(rate);
+    Random rng(13);
+    Table built(kDataTableName, MakeDataSchema());
+    ASSERT_TRUE(AppendFileToDataTable(
+                    "/repo/a.mseed",
+                    {DenseRecord(&rng, 50'000'000, rate, 300),
+                     SkippedRecord(60'000'000, rate),
+                     SparseRecord(&rng, 0, rate, {0, 1, 2, 57, 58, 900}),
+                     DenseRecord(&rng, 70'000'000, rate, 0),
+                     DenseRecord(&rng, 1'000, rate, 40)},
+                    &built)
+                    .ok());
+    ExpectRuns(built, {0, 300, 306}, what);
+    // A second file extends the index where the first left off; a file with
+    // no rows adds no run.
+    ASSERT_TRUE(AppendFileToDataTable("/repo/b.mseed",
+                                      {DenseRecord(&rng, 5'000, rate, 7),
+                                       DenseRecord(&rng, 0, rate, 9)},
+                                      &built)
+                    .ok());
+    ASSERT_TRUE(AppendFileToDataTable("/repo/c.mseed",
+                                      {SkippedRecord(0, rate)}, &built)
+                    .ok());
+    ExpectRuns(built, {0, 300, 306, 346, 353}, what);
+  }
+}
+
+TEST(DataTableBuilder, AnyOtherAppendDropsTheRunIndex) {
+  Random rng(17);
+  const std::vector<mseed::DecodedRecord> records = {
+      DenseRecord(&rng, 0, 1.0, 5), DenseRecord(&rng, 9'000, 1.0, 5)};
+  Table built(kDataTableName, MakeDataSchema());
+  ASSERT_TRUE(AppendFileToDataTable("/repo/a.mseed", records, &built).ok());
+  ASSERT_NE(built.run_starts(), nullptr);
+
+  // A copy built by AppendTable has no index, and neither has a table that
+  // held rows before its first builder call.
+  Table copy(kDataTableName, MakeDataSchema());
+  ASSERT_TRUE(copy.AppendTable(built).ok());
+  EXPECT_EQ(copy.run_starts(), nullptr);
+  ASSERT_TRUE(AppendFileToDataTable("/repo/b.mseed", records, &copy).ok());
+  EXPECT_EQ(copy.run_starts(), nullptr);
+
+  // AppendRow after the builder drops the index for good.
+  ASSERT_TRUE(built
+                  .AppendRow({Value::String("/repo/x.mseed"), Value::Int64(0),
+                              Value::Timestamp(0), Value::Double(1.0)})
+                  .ok());
+  EXPECT_EQ(built.run_starts(), nullptr);
+  ASSERT_TRUE(AppendFileToDataTable("/repo/c.mseed", records, &built).ok());
+  EXPECT_EQ(built.run_starts(), nullptr);
+
+  // So does AppendTable.
+  Table appended(kDataTableName, MakeDataSchema());
+  ASSERT_TRUE(AppendFileToDataTable("/repo/a.mseed", records, &appended).ok());
+  ASSERT_TRUE(appended.AppendTable(copy).ok());
+  EXPECT_EQ(appended.run_starts(), nullptr);
+  EXPECT_EQ(appended.SelectColumns({2, 3})->run_starts(), nullptr);
+}
+
 }  // namespace
 }  // namespace dex

@@ -305,6 +305,59 @@ TEST_F(ExecutorTest, CacheScanUsesCacheCallback) {
   EXPECT_EQ(ctx_.stats.cache_scans, 1u);
 }
 
+// Under a Filter, a cache-scan streams only the rows of the filter's ranges
+// over the table's run index, on a cache hit and on the evicted-entry
+// fallback that mounts; batches span ranges. The Filter still decides, so
+// the rows equal the kernels-off run, which streams every row.
+TEST_F(ExecutorTest, CacheScanStreamsOnlyTheRunRangesOfItsFilter) {
+  // Three runs of 6000 rows, each with n = 0..5999; the window keeps 3000
+  // of each, 9000 rows in all: batches of kBatchSize that end inside a range
+  // and span the next.
+  auto indexed =
+      std::make_shared<Table>("D", (*catalog_.GetTable("D"))->schema());
+  for (int run = 0; run < 3; ++run) {
+    for (int i = 0; i < 6000; ++i) {
+      ASSERT_TRUE(indexed
+                      ->AppendRow({Value::String("uc"), Value::Int64(i),
+                                   Value::Double(run * 10000.0 + i)})
+                      .ok());
+    }
+  }
+  indexed->ExtendRunIndex(1, 0, {0, 6000, 12000});
+  const ExprPtr window = Expr::And(
+      Expr::Compare(CompareOp::kGe, Expr::ColumnRef("n"),
+                    Expr::Lit(Value::Int64(1000))),
+      Expr::Compare(CompareOp::kLt, Expr::ColumnRef("n"),
+                    Expr::Lit(Value::Int64(4000))));
+  for (bool evicted : {false, true}) {
+    ctx_.cache_fn = [&](const std::string&,
+                        const std::string&) -> Result<TablePtr> {
+      if (evicted) return Status::NotFound("evicted");
+      return TablePtr(indexed);
+    };
+    ctx_.mount_fn = [&](const std::string&, const std::string&,
+                        const ExprPtr& pred) -> Result<TablePtr> {
+      EXPECT_EQ(pred, nullptr);  // the fallback mounts the whole file
+      return TablePtr(indexed);
+    };
+    std::vector<std::vector<std::string>> rows;
+    for (bool kernels : {true, false}) {
+      ctx_.stats = ExecStats{};
+      ctx_.use_simd_kernels = kernels;
+      auto r = Run(MakeFilter(window, MakeCacheScan("D", "uc")));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ((*r)->num_rows(), 9000u);
+      EXPECT_EQ(ctx_.stats.range_skipped_rows, kernels ? 9000u : 0u);
+      EXPECT_EQ(ctx_.stats.files_mounted, evicted ? 1u : 0u);
+      rows.emplace_back();
+      for (size_t i = 0; i < (*r)->num_rows(); ++i) {
+        rows.back().push_back((*r)->GetValue(i, 2).ToString());
+      }
+    }
+    EXPECT_EQ(rows[0], rows[1]) << "evicted=" << evicted;
+  }
+}
+
 TEST_F(ExecutorTest, IndexJoinMatchesHashJoin) {
   ASSERT_TRUE(catalog_.BuildIndex("D", {"uri"}, "D_by_uri").ok());
   PlanPtr plan = MakeJoin(

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "common/random.h"
@@ -318,6 +320,147 @@ TEST(KernelLowering, SelectorKernelsMatchInterpreter) {
     EXPECT_FALSE(by_kernels.empty());
     EXPECT_EQ(by_kernels, mapped) << "preselect=" << preselect;
   }
+}
+
+/// A LoweringSchema() table whose `ts` column is cut into run-indexed runs
+/// that never decrease (with repeats), start anywhere and overlap.
+Table RunTable(Random* rng) {
+  Table t("t", LoweringSchema());
+  std::vector<size_t> starts;
+  for (int r = 0; r < 8; ++r) {
+    starts.push_back(t.num_rows());
+    int64_t ts = rng->UniformRange(0, 60);
+    const int n = static_cast<int>(rng->UniformRange(1, 20));
+    for (int i = 0; i < n; ++i) {
+      ts += static_cast<int64_t>(rng->Uniform(3));
+      EXPECT_TRUE(t.AppendRow({Value::Int64(i), Value::Timestamp(ts),
+                               Value::Double(0), Value::String("x")})
+                      .ok());
+    }
+  }
+  t.ExtendRunIndex(1, 0, starts);
+  return t;
+}
+
+kernel::KernelConjunct OnColumn(int col, CompareOp op, int64_t lit) {
+  kernel::KernelConjunct c;
+  c.col = col;
+  c.op = op;
+  c.i64 = lit;
+  return c;
+}
+
+bool Satisfies(const Table& t, size_t row,
+               const std::vector<kernel::KernelConjunct>& conjuncts) {
+  for (const kernel::KernelConjunct& c : conjuncts) {
+    const int64_t v = t.column(static_cast<size_t>(c.col))->GetInt64(row);
+    const bool pass = c.op == CompareOp::kEq   ? v == c.i64
+                      : c.op == CompareOp::kNe ? v != c.i64
+                      : c.op == CompareOp::kLt ? v < c.i64
+                      : c.op == CompareOp::kLe ? v <= c.i64
+                      : c.op == CompareOp::kGt ? v > c.i64
+                                               : v >= c.i64;
+    if (!pass) return false;
+  }
+  return true;
+}
+
+TEST(KernelRanges, ResolvedRangesMatchAScanForEveryOpAndBound) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t lits[] = {kMin, kMin + 1, -1, 0, 7, 30, 45, 61, 200,
+                          kMax - 1, kMax};
+  Random rng(23);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Table t = RunTable(&rng);
+    ASSERT_NE(t.run_starts(), nullptr);
+    for (int q = 0; q < 200; ++q) {
+      std::vector<kernel::KernelConjunct> conjuncts;
+      const int n = static_cast<int>(rng.UniformRange(1, 3));
+      bool bounds = false, all_bounds = true;
+      for (int k = 0; k < n; ++k) {
+        const CompareOp op = kAllOps[rng.Uniform(6)];
+        const int64_t lit = rng.NextBool(0.3)
+                                ? lits[rng.Uniform(std::size(lits))]
+                                : rng.UniformRange(-5, 120);
+        conjuncts.push_back(OnColumn(1, op, lit));
+        bounds |= op != CompareOp::kNe;
+        all_bounds &= op != CompareOp::kNe;
+      }
+      std::vector<RowRange> ranges;
+      bool exact = false;
+      const bool restricts =
+          kernel::ResolveRowRanges(t, conjuncts, &ranges, &exact);
+      ASSERT_EQ(restricts, bounds);
+      if (!restricts) continue;
+      EXPECT_EQ(exact, all_bounds);
+      std::vector<bool> in_range(t.num_rows(), false);
+      for (size_t r = 0; r < ranges.size(); ++r) {
+        ASSERT_LT(ranges[r].begin, ranges[r].end);
+        if (r > 0) ASSERT_LT(ranges[r - 1].end, ranges[r].begin);  // merged
+        for (size_t i = ranges[r].begin; i < ranges[r].end; ++i) {
+          in_range[i] = true;
+        }
+      }
+      for (size_t i = 0; i < t.num_rows(); ++i) {
+        const bool match = Satisfies(t, i, conjuncts);
+        if (match) EXPECT_TRUE(in_range[i]) << "row " << i;
+        if (exact) EXPECT_EQ(in_range[i], match) << "row " << i;
+      }
+    }
+  }
+}
+
+TEST(KernelRanges, OnlyBoundsOnTheIndexedColumnRestrict) {
+  Random rng(29);
+  const Table t = RunTable(&rng);
+  std::vector<RowRange> ranges;
+  bool exact = true;
+  // Another column, or `<>`, never restricts.
+  EXPECT_FALSE(kernel::ResolveRowRanges(
+      t, {OnColumn(0, CompareOp::kLt, 3)}, &ranges));
+  EXPECT_FALSE(kernel::ResolveRowRanges(
+      t, {OnColumn(1, CompareOp::kNe, 30)}, &ranges));
+  // With a bound beside them, the ranges cover the bound but are not exact.
+  ASSERT_TRUE(kernel::ResolveRowRanges(
+      t, {OnColumn(0, CompareOp::kLt, 3), OnColumn(1, CompareOp::kGe, 30)},
+      &ranges, &exact));
+  EXPECT_FALSE(exact);
+  // Past the int64 extremes a strict bound keeps nothing.
+  ASSERT_TRUE(kernel::ResolveRowRanges(
+      t,
+      {OnColumn(1, CompareOp::kGt, std::numeric_limits<int64_t>::max())},
+      &ranges, &exact));
+  EXPECT_TRUE(ranges.empty());
+  EXPECT_TRUE(exact);
+  ASSERT_TRUE(kernel::ResolveRowRanges(
+      t,
+      {OnColumn(1, CompareOp::kLt, std::numeric_limits<int64_t>::min())},
+      &ranges));
+  EXPECT_TRUE(ranges.empty());
+  // An inclusive bound at an extreme keeps every run, merged into one.
+  ASSERT_TRUE(kernel::ResolveRowRanges(
+      t,
+      {OnColumn(1, CompareOp::kGe, std::numeric_limits<int64_t>::min())},
+      &ranges));
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0].begin, 0u);
+  EXPECT_EQ(ranges[0].end, t.num_rows());
+
+  // A table without an index, and a selector on the interpreter path, do
+  // not restrict at all.
+  Table plain("t", LoweringSchema());
+  ASSERT_TRUE(plain.AppendTable(t).ok());
+  EXPECT_FALSE(kernel::ResolveRowRanges(
+      plain, {OnColumn(1, CompareOp::kGe, 30)}, &ranges));
+  const ExprPtr pred =
+      BindTo(Expr::Compare(CompareOp::kGe, Expr::ColumnRef("ts"),
+                           Expr::Lit(Value::Timestamp(30))),
+             *t.schema());
+  EXPECT_TRUE(kernel::PredicateSelector(pred, *t.schema(), true)
+                  .ResolveRanges(t, &ranges));
+  EXPECT_FALSE(kernel::PredicateSelector(pred, *t.schema(), false)
+                   .ResolveRanges(t, &ranges));
 }
 
 TEST(BatchSelection, CompactGathersSelectedRowsAndDropsVector) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 namespace dex::mseed {
 namespace {
 
@@ -78,6 +81,40 @@ TEST(RecordHeaderTest, ImplausibleSampleRateRejected) {
   std::string buf;
   h.AppendTo(&buf);
   EXPECT_TRUE(RecordHeader::Parse(buf, 0).status().IsCorruption());
+}
+
+TEST(RecordHeaderTest, UndefinedSampleTimesRejected) {
+  constexpr int64_t kLimit = int64_t{1} << 62;
+  // Rates that leave sample times undefined, or so small the span overflows.
+  for (double rate : {0.0, -0.0, std::nan(""), HUGE_VAL, 1e6 * 1.0001, 1e-300}) {
+    RecordHeader h = MakeHeader();
+    h.sample_rate_hz = rate;
+    EXPECT_TRUE(h.Validate().IsCorruption()) << rate;
+    std::string buf;
+    h.AppendTo(&buf);
+    EXPECT_TRUE(RecordHeader::Parse(buf, 0).status().IsCorruption()) << rate;
+  }
+  // First or last sample time beyond +-2^62 ms.
+  RecordHeader h = MakeHeader();
+  h.sample_rate_hz = 1.0;
+  h.num_samples = 10;
+  h.start_time_ms = kLimit + 1;
+  EXPECT_TRUE(h.Validate().IsCorruption());
+  h.start_time_ms = -kLimit - 1;
+  EXPECT_TRUE(h.Validate().IsCorruption());
+  h.start_time_ms = kLimit - 4096;  // the last sample lands past 2^62
+  EXPECT_TRUE(h.Validate().IsCorruption());
+  // Inside the limits is fine.
+  h.start_time_ms = kLimit - 16384;
+  EXPECT_TRUE(h.Validate().ok()) << h.Validate().ToString();
+  h.start_time_ms = -kLimit;
+  EXPECT_TRUE(h.Validate().ok());
+  h.sample_rate_hz = 1e6;
+  EXPECT_TRUE(h.Validate().ok());
+  h.num_samples = 0;
+  h.sample_rate_hz = 1e-300;  // no samples, no span to overflow
+  EXPECT_TRUE(h.Validate().ok());
+  EXPECT_TRUE(MakeHeader().Validate().ok());
 }
 
 TEST(RecordHeaderTest, EndTimeFromRateAndCount) {

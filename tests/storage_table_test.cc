@@ -86,5 +86,39 @@ TEST(TableTest, ToStringTruncatesLongTables) {
   EXPECT_NE(s.find("T.name"), std::string::npos);
 }
 
+// A range copy stands in for a gather of the same rows, so it must weigh
+// the same: an empty string column adopts the source's dictionary even when
+// no row is copied, as AppendGather does.
+TEST(TableTest, AppendRangesWeighsLikeAGatherOfTheSameRows) {
+  Table src("T", TwoColSchema());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        src.AppendRow({Value::String(i < 5 ? "a" : "b"), Value::Int64(i)}).ok());
+  }
+  const std::vector<std::vector<RowRange>> cases = {
+      {}, {{2, 4}}, {{0, 1}, {3, 7}, {9, 10}}};
+  for (const std::vector<RowRange>& ranges : cases) {
+    std::vector<uint32_t> rows;
+    for (const RowRange& r : ranges) {
+      for (size_t i = r.begin; i < r.end; ++i) rows.push_back(i);
+    }
+    Table copied("T", TwoColSchema());
+    ASSERT_TRUE(copied.AppendRanges(src, ranges).ok());
+    Table gathered("T", TwoColSchema());
+    for (size_t c = 0; c < 2; ++c) {
+      gathered.mutable_column(c)->AppendGather(*src.column(c), rows);
+    }
+    ASSERT_TRUE(gathered.CommitAppendedRows(rows.size()).ok());
+    ASSERT_EQ(copied.num_rows(), rows.size());
+    EXPECT_EQ(CountRows(ranges), rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(copied.GetValue(r, 0), gathered.GetValue(r, 0));
+      EXPECT_EQ(copied.GetValue(r, 1), gathered.GetValue(r, 1));
+    }
+    EXPECT_EQ(copied.column(0)->dict(), src.column(0)->dict());
+    EXPECT_EQ(copied.ByteSize(), gathered.ByteSize()) << rows.size();
+  }
+}
+
 }  // namespace
 }  // namespace dex
