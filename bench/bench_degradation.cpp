@@ -1,7 +1,8 @@
 // A10 — graceful degradation under a simulated-time deadline.
 //
 // A cold scan over every file is run under deadlines of 25/50/75/100% of its
-// full simulated cost, at 1/4/8 workers. The rows returned and the
+// full simulated cost, at 1/4/8 workers, unsharded and on 4 shards (the
+// yardstick is measured per shard count). The rows returned and the
 // completeness (files mounted / files of interest) must be identical across
 // worker counts — governed admission is decided on the simulated clock, so
 // the cutoff is a property of the workload, not of the machine. Each
@@ -32,71 +33,81 @@ int main() {
 
   const std::string scan_all = "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri";
 
-  // The yardstick: the full ungoverned simulated cost of the cold scan.
-  uint64_t full_sim_nanos = 0;
-  {
-    DatabaseOptions opts;
-    opts.two_stage.num_threads = 1;
-    auto db = MustOpen(dir, opts);
-    db->FlushBuffers();
-    const Timing t = TimeQuery(db.get(), scan_all);
-    full_sim_nanos = t.stats.sim_io_nanos;
-    std::printf("full scan: %.4fs simulated I/O, %llu rows\n\n",
-                t.sim_io_seconds,
-                static_cast<unsigned long long>(t.stats.result_rows));
-  }
-
-  std::printf("%-8s %9s %9s %9s %9s %13s %9s\n", "workers", "deadline",
-              "mounted", "skipped", "rows", "completeness", "partial");
-  for (size_t workers : {1u, 4u, 8u}) {
-    for (double frac : {0.25, 0.5, 0.75, 1.0}) {
+  for (int shards : {1, 4}) {
+    // The yardstick: the full ungoverned simulated cost of the cold scan at
+    // this shard count.
+    uint64_t full_sim_nanos = 0;
+    {
       DatabaseOptions opts;
-      opts.two_stage.num_threads = workers;
-      opts.two_stage.sim_deadline_nanos =
-          static_cast<uint64_t>(static_cast<double>(full_sim_nanos) * frac);
+      opts.two_stage.num_threads = 1;
+      opts.shard.num_shards = shards;
       auto db = MustOpen(dir, opts);
       db->FlushBuffers();
-      auto r = db->Query(scan_all);
-      if (!r.ok()) {
-        std::fprintf(stderr, "query failed: %s\n",
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      const TwoStageStats& ts = r->stats.two_stage;
-      const uint64_t mounted = r->stats.mount.mounts;
-      // The result row of COUNT(*) carries the actual row count ingested.
-      const uint64_t rows =
-          r->table->num_rows() > 0
-              ? static_cast<uint64_t>(r->table->GetValue(0, 0).int64())
-              : 0;
-      const double completeness =
-          ts.files_of_interest > 0
-              ? 100.0 * static_cast<double>(mounted) /
-                    static_cast<double>(ts.files_of_interest)
-              : 100.0;
-      std::printf("%-8zu %8.0f%% %9llu %9zu %9llu %12.1f%% %9s\n", workers,
-                  frac * 100, static_cast<unsigned long long>(mounted),
-                  ts.files_skipped_deadline,
-                  static_cast<unsigned long long>(rows), completeness,
-                  ts.is_partial ? "yes" : "no");
-      std::printf(
-          "{\"bench\":\"degradation\",\"workers\":%zu,\"deadline_frac\":%.2f,"
-          "\"files_of_interest\":%zu,\"files_mounted\":%llu,"
-          "\"files_skipped_deadline\":%zu,\"rows\":%llu,"
-          "\"completeness_pct\":%.2f,\"is_partial\":%s,\"sim_io_s\":%.6f}\n",
-          workers, frac, ts.files_of_interest,
-          static_cast<unsigned long long>(mounted), ts.files_skipped_deadline,
-          static_cast<unsigned long long>(rows), completeness,
-          ts.is_partial ? "true" : "false",
-          static_cast<double>(r->stats.sim_io_nanos) / 1e9);
+      const Timing t = TimeQuery(db.get(), scan_all);
+      full_sim_nanos = t.stats.sim_io_nanos;
+      std::printf("%d shard(s), full scan: %.4fs simulated I/O, %llu rows\n\n",
+                  shards, t.sim_io_seconds,
+                  static_cast<unsigned long long>(t.stats.result_rows));
     }
+
+    std::printf("%-8s %9s %9s %9s %9s %13s %9s\n", "workers", "deadline",
+                "mounted", "skipped", "rows", "completeness", "partial");
+    for (size_t workers : {1u, 4u, 8u}) {
+      for (double frac : {0.25, 0.5, 0.75, 1.0}) {
+        DatabaseOptions opts;
+        opts.two_stage.num_threads = workers;
+        opts.shard.num_shards = shards;
+        opts.two_stage.sim_deadline_nanos =
+            static_cast<uint64_t>(static_cast<double>(full_sim_nanos) * frac);
+        auto db = MustOpen(dir, opts);
+        db->FlushBuffers();
+        auto r = db->Query(scan_all);
+        if (!r.ok()) {
+          std::fprintf(stderr, "query failed: %s\n",
+                       r.status().ToString().c_str());
+          return 1;
+        }
+        const TwoStageStats& ts = r->stats.two_stage;
+        const uint64_t mounted = r->stats.mount.mounts;
+        // The result row of COUNT(*) carries the actual row count ingested.
+        const uint64_t rows =
+            r->table->num_rows() > 0
+                ? static_cast<uint64_t>(r->table->GetValue(0, 0).int64())
+                : 0;
+        const double completeness =
+            ts.files_of_interest > 0
+                ? 100.0 * static_cast<double>(mounted) /
+                      static_cast<double>(ts.files_of_interest)
+                : 100.0;
+        std::printf("%-8zu %8.0f%% %9llu %9zu %9llu %12.1f%% %9s\n", workers,
+                    frac * 100, static_cast<unsigned long long>(mounted),
+                    ts.files_skipped_deadline,
+                    static_cast<unsigned long long>(rows), completeness,
+                    ts.is_partial ? "yes" : "no");
+        std::printf(
+            "{\"bench\":\"degradation\",\"shards\":%d,\"workers\":%zu,"
+            "\"deadline_frac\":%.2f,\"files_of_interest\":%zu,"
+            "\"files_mounted\":%llu,\"files_skipped_deadline\":%zu,"
+            "\"rows\":%llu,\"completeness_pct\":%.2f,\"is_partial\":%s,"
+            "\"sim_io_s\":%.6f}\n",
+            shards, workers, frac, ts.files_of_interest,
+            static_cast<unsigned long long>(mounted), ts.files_skipped_deadline,
+            static_cast<unsigned long long>(rows), completeness,
+            ts.is_partial ? "true" : "false",
+            static_cast<double>(r->stats.sim_io_nanos) / 1e9);
+      }
+    }
+    std::printf("\n");
   }
 
   std::printf(
-      "\nreading the table: every (deadline, *) row is identical across\n"
-      "worker counts — the cutoff is decided on the simulated timeline in\n"
-      "admission order, so degradation is reproducible. The 100%% row may\n"
-      "still be partial: the deadline equals the full cost, so the last\n"
-      "file's admission check sits exactly on the boundary.\n");
+      "reading the tables: every (shards, deadline, *) row is identical\n"
+      "across worker counts — the cutoff is decided on the simulated\n"
+      "timeline in admission order, so degradation is reproducible. The\n"
+      "100%% row may still be partial: the deadline equals the full cost,\n"
+      "so the last file's admission check sits exactly on the boundary.\n"
+      "Sharded, the yardstick is the ungoverned cost, whose waves overlap\n"
+      "the shards, while governed admission pays one file at a time, so\n"
+      "fewer files fit under each deadline.\n");
   return 0;
 }

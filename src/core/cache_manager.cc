@@ -102,9 +102,8 @@ Result<TablePtr> CacheManager::Lookup(const std::string& uri) {
   }
   if (it->second.data == nullptr) {
     // The entry was spilled between probe and lookup (budget pressure from a
-    // concurrent query). Reload; on failure the caller (Mounter::CacheLookup)
-    // falls back to mounting the source file, so the query still answers
-    // correctly.
+    // concurrent query). Reload; on failure the cache-scan falls back to
+    // mounting the source file, so the query still answers correctly.
     switch (ReloadLocked(uri, &it->second)) {
       case ReloadResult::kOk:
         break;

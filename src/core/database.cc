@@ -444,7 +444,7 @@ Result<QueryResult> Database::RunQuery(const std::string& sql,
       DEX_ASSIGN_OR_RETURN(
           out.table,
           two_stage_->Execute(plan, options.breakpoint, &out.stats.two_stage,
-                              profiler, &qctx, &env));
+                              profiler, qctx, env));
     }
     out.stats.exec_nanos = NowNanos() - t1;
   }

@@ -77,8 +77,8 @@ Result<TablePtr> Mounter::Mount(const std::string& table_name,
     return Status::NotImplemented("no extraction mapping for actual table '" +
                                   table_name + "'");
   }
-  // The per-file ingestion span: present whether this mount runs inline
-  // inside stage-2 plan execution or as a parallel premount task.
+  // The per-file ingestion span, inside the mount task of the stage-2
+  // admission window that runs it.
   obs::TraceSpan span("mount", "mount");
   span.AddArg("uri", uri);
   span.AddArg("lane", static_cast<uint64_t>(obs::CurrentThreadLane()));
@@ -306,15 +306,9 @@ Result<TablePtr> Mounter::CacheLookup(const std::string& table_name,
   if (cache_ == nullptr) {
     return Status::Internal("cache-scan without a cache manager");
   }
-  auto cached = cache_->Lookup(uri);
-  if (cached.ok()) return cached;
-  // The entry vanished between planning and execution: spilled to the
-  // durable tier under concurrent budget pressure and then refused reload
-  // (quarantined as corrupt, or no budget headroom). The selection above
-  // this union branch re-applies the query's predicate, so mounting the
-  // whole file is a correct — just slower — substitute. The query degrades;
-  // it never fails and never sees unvalidated bytes.
-  return Mount(table_name, uri, nullptr);
+  // NotFound when the entry vanished between planning and execution; the
+  // cache-scan then mounts the file through the query's admission instead.
+  return cache_->Lookup(uri);
 }
 
 }  // namespace dex

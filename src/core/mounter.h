@@ -183,7 +183,9 @@ class Mounter {
                          const QueryContext* qctx = nullptr,
                          const PruningOptions* pruning = nullptr);
 
-  /// The cache-scan access path: returns previously ingested data.
+  /// The cache-scan access path: returns previously ingested data, or
+  /// NotFound when the entry is gone (evicted, or spilled to the durable
+  /// tier and refused reload).
   Result<TablePtr> CacheLookup(const std::string& table_name,
                                const std::string& uri);
 

@@ -18,9 +18,6 @@ namespace {
 // the stats of its own refresh (mirrors the query-warning bound).
 constexpr size_t kMaxScanWarnings = 32;
 
-// Payload of one scatter request ("scan your slice") to a shard.
-constexpr uint64_t kShardScanRequestBytes = 256;
-
 /// The coordinator's per-file decision, made in enumeration order.
 struct FilePlan {
   const std::string* uri = nullptr;
@@ -54,8 +51,7 @@ void AddWarning(Stage1Stats* stats, std::string msg) {
 /// Charges the file's header pages ((num_records + 1) * 64 bytes, capped at
 /// the file size) to the simulated medium, absorbing transient faults with
 /// exponential backoff exactly like the stage-2 mount read path. All charges
-/// (reads and backoff) land in the caller's TaskTimeScope bucket when one is
-/// installed, or directly on the global clock when the scan is governed.
+/// (reads and backoff) land in the calling task's TaskTimeScope bucket.
 Status ChargeHeaderReadWithRetry(FileRegistry* registry, const std::string& uri,
                                  const MountRetryPolicy& retry,
                                  const QueryContext* qctx, TaskSlot* slot) {
@@ -83,8 +79,8 @@ Status ChargeHeaderReadWithRetry(FileRegistry* registry, const std::string& uri,
   return io;
 }
 
-/// The per-file unit of work (one task in the parallel path, one inline
-/// admission in the governed path). Degradation is *recorded*, not applied:
+/// The per-file unit of work, run as one task of an admission window.
+/// Degradation is *recorded*, not applied:
 /// quarantines happen at merge time on the coordinator so the health
 /// sequence is deterministic.
 Status ScanOne(FormatAdapter* format, FileRegistry* registry,
@@ -224,68 +220,41 @@ Result<mseed::ScanResult> Stage1Scanner::Scan(const std::string& root,
     }
   }
 
+  // One admission loop serves every scan. An ungoverned scan is one window
+  // of all its candidates; a governed one (deadline armed) admits one file
+  // per window, so each admission is decided on the scan's own timeline
+  // and the cutoff is bit-identical at any num_threads.
   const bool governed =
       options.qctx != nullptr && options.qctx->has_deadline();
   SimDisk* disk = registry_->disk();
   std::vector<TaskSlot> slots(work.size());
-
-  if (governed) {
-    // Governed scans serialize admission on the simulated clock — the same
-    // trade governed stage-2 mounts make (DESIGN.md §8.8): each header parse
-    // is admitted against the global clock, so the cutoff is bit-identical
-    // at any num_threads. Registration is deferred to admission time so a
-    // new file skipped by the deadline stays unknown and is picked up by the
-    // next refresh.
-    stats->workers = 1;
-    for (size_t w = 0; w < work.size(); ++w) {
-      FilePlan& plan = plans[work[w]];
+  size_t workers = options.num_threads == 0 ? ThreadPool::DefaultConcurrency()
+                                            : options.num_threads;
+  workers = governed ? 1 : std::max<size_t>(1, std::min(workers, work.size()));
+  stats->workers = workers;
+  const size_t window = governed ? 1 : work.size();
+  for (size_t begin = 0; begin < work.size(); begin += window) {
+    const size_t end = std::min(work.size(), begin + window);
+    if (options.qctx != nullptr) {
       DEX_RETURN_NOT_OK(options.qctx->CheckInterrupt());
-      // The deadline is measured on the scan's own timeline (sim_now falls
-      // back to the global clock when no per-query counter is attached), so
-      // concurrent queries charging the shared clock cannot move the cutoff.
-      if (options.qctx->DeadlineExpired(
-              options.qctx->sim_now(disk->stats().sim_nanos))) {
-        stats->is_partial = true;
-        for (size_t rest = w; rest < work.size(); ++rest) {
-          FilePlan& skipped = plans[work[rest]];
-          ++stats->files_skipped_deadline;
-          // Not-yet-admitted files fall back to their stale baseline rows
-          // when they have one; new files stay out of this round's catalog.
-          // The registry was not touched for either, so the next refresh
-          // re-detects them.
-          skipped.reuse = base_files.count(*skipped.uri) > 0;
-        }
-        break;
-      }
-      if (plan.stat_ok && !plan.known) {
-        DEX_RETURN_NOT_OK(
-            registry_->Add(*plan.uri, plan.size_bytes, plan.mtime_ms));
-      }
-      plan.task = w;
-      {
-        // Bucket this admission's charges, then fold them onto the global
-        // clock as one delay: the measured per-file cost cannot be polluted
-        // by whatever concurrent queries charge to the shared clock.
-        SimDisk::TaskTimeScope scope(&slots[w].sim_nanos);
-        DEX_RETURN_NOT_OK(
-            ScanOne(format_, registry_, plan, options, &slots[w]));
-      }
-      disk->ChargeDelay(slots[w].sim_nanos);
-      stats->serial_sim_nanos += slots[w].sim_nanos;
     }
-    stats->parallel_sim_nanos = stats->serial_sim_nanos;
-  } else {
-    size_t workers = options.num_threads == 0 ? ThreadPool::DefaultConcurrency()
-                                              : options.num_threads;
-    workers = std::max<size_t>(
-        1, std::min(workers, std::max<size_t>(work.size(), 1)));
-    stats->workers = workers;
-
-    // Register every scan candidate with the simulated disk *before* any
-    // task runs: object ids — and with them the per-object PRNG fault
+    if (governed && options.qctx->DeadlineExpired(
+                        options.qctx->sim_now(disk->stats().sim_nanos))) {
+      stats->is_partial = true;
+      for (size_t rest = begin; rest < work.size(); ++rest) {
+        ++stats->files_skipped_deadline;
+        // Files not yet admitted keep their stale baseline rows when they
+        // have one; new files stay out of this round's catalog. Neither was
+        // registered, so the next refresh re-detects them.
+        plans[work[rest]].reuse = base_files.count(*plans[work[rest]].uri) > 0;
+      }
+      break;
+    }
+    // Register the window's new files with the simulated disk before any of
+    // its tasks runs: object ids — and with them the per-object PRNG fault
     // streams — are a pure function of the enumeration order, not of worker
     // interleaving.
-    for (size_t w = 0; w < work.size(); ++w) {
+    for (size_t w = begin; w < end; ++w) {
       FilePlan& plan = plans[work[w]];
       plan.task = w;
       if (plan.stat_ok && !plan.known) {
@@ -294,7 +263,7 @@ Result<mseed::ScanResult> Stage1Scanner::Scan(const std::string& root,
       }
     }
     TaskGroup group(workers > 1 ? Pool(workers) : nullptr, options.priority);
-    for (size_t w = 0; w < work.size(); ++w) {
+    for (size_t w = begin; w < end; ++w) {
       const FilePlan* plan = &plans[work[w]];
       TaskSlot* slot = &slots[w];
       // Trace context (order key + parent span) is captured at spawn time by
@@ -309,95 +278,63 @@ Result<mseed::ScanResult> Stage1Scanner::Scan(const std::string& root,
         task_span.AddArg("lane",
                          static_cast<uint64_t>(obs::CurrentThreadLane()));
         // Route this task's simulated stall time into its own bucket so the
-        // wave can be aggregated deterministically afterwards.
+        // window can be aggregated deterministically afterwards.
         SimDisk::TaskTimeScope scope(&slot->sim_nanos);
         return ScanOne(format_, registry_, *plan, options, slot);
       });
     }
     DEX_RETURN_NOT_OK(group.Wait());
 
-    // Sharded gather: every parsed header ships its bytes back over its
-    // shard's link, on the coordinator at the barrier in shard/enumeration
-    // order — the k-th transfer on a link is the same transfer in every
-    // run, so the seeded per-link fault streams replay bit-identically. A
-    // response lost past the resend budget degrades like a permanently
-    // failing header read (quarantine, metadata kept).
-    const size_t num_shards =
-        sharded ? static_cast<size_t>(shards->num_shards()) : 1;
-    std::vector<uint64_t> shard_disk(num_shards, 0);
-    std::vector<uint64_t> shard_net(num_shards, 0);
-    uint64_t net_total = 0;
-    if (sharded && !work.empty()) {
-      std::vector<std::vector<size_t>> members(num_shards);
-      for (size_t w = 0; w < work.size(); ++w) {
-        const size_t s =
-            static_cast<size_t>(shards->ShardOf(*plans[work[w]].uri));
-        shard_disk[s] += slots[w].sim_nanos;
-        members[s].push_back(w);
+    // Charge the window. Unsharded, the critical path is the makespan over
+    // `workers` lanes. Sharded, every parsed header ships its bytes back
+    // over its shard's link, and the critical path is the slowest shard
+    // (its summed parse time + its link time): each shard is one serial
+    // storage node. A response lost past the resend budget degrades like a
+    // permanently failing header read (quarantine, metadata kept).
+    uint64_t serial = 0;
+    uint64_t critical_path = 0;
+    if (sharded) {
+      std::vector<ShardedRepository::GatherItem> items;
+      for (size_t w = begin; w < end; ++w) {
+        const uint32_t num_records = slots[w].result.files.empty()
+                                         ? 0
+                                         : slots[w].result.files[0].num_records;
+        items.push_back(
+            {shards->ShardOf(*plans[work[w]].uri), slots[w].sim_nanos,
+             !slots[w].parse_failed,
+             std::min<uint64_t>(plans[work[w]].size_bytes,
+                                (static_cast<uint64_t>(num_records) + 1) * 64)});
       }
-      SimNetwork* net = shards->network();
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (members[s].empty()) continue;
-        // This shard's transfers land in its own bucket; the global clock
-        // gets one worker-invariant charge below.
-        SimDisk::TaskTimeScope scope(&shard_net[s]);
-        (void)net->Transfer(shards->LinkOf(static_cast<int>(s)),
-                            kShardScanRequestBytes);
-        for (size_t w : members[s]) {
-          if (slots[w].parse_failed) continue;  // nothing to ship
-          const FilePlan& plan = plans[work[w]];
-          const uint32_t num_records = slots[w].result.files.empty()
-                                           ? 0
-                                           : slots[w].result.files[0].num_records;
-          const uint64_t bytes = std::min<uint64_t>(
-              plan.size_bytes, (static_cast<uint64_t>(num_records) + 1) * 64);
-          Result<uint64_t> resp =
-              net->Transfer(shards->LinkOf(static_cast<int>(s)), bytes);
-          if (!resp.ok() && !slots[w].read_failed) {
-            slots[w].read_failed = true;
-            slots[w].error = resp.status().message();
-          }
+      const ShardedRepository::GatherCost cost = shards->ScatterGather(items);
+      for (size_t w = begin; w < end; ++w) {
+        const Status& resp = cost.failures[w - begin];
+        if (!resp.ok() && !slots[w].read_failed) {
+          slots[w].read_failed = true;
+          slots[w].error = resp.message();
         }
       }
-      for (size_t s = 0; s < num_shards; ++s) net_total += shard_net[s];
-    }
-
-    std::vector<uint64_t> task_nanos;
-    task_nanos.reserve(slots.size());
-    for (const TaskSlot& slot : slots) task_nanos.push_back(slot.sim_nanos);
-    const SimSchedule sched = ListScheduleSimTimes(task_nanos, workers);
-    // Charge the *serial sum* (plus, sharded, the total net time): the
-    // scan's charged simulated cost stays invariant in the worker count (and
-    // equal to the legacy serial scan's charge), while the critical path is
-    // reported as what a medium with that much overlap would have stalled —
-    // the speedup bench_refresh measures. Unsharded, the critical path is
-    // the makespan over `workers` lanes; sharded, it is the slowest shard
-    // (summed parse time + link time — each shard is one serial storage
-    // node, so shard count, not worker count, sets the headroom). Contrast
-    // with stage-2 mounts, which charge the makespan (a query's reported
-    // latency *should* drop with workers); Open/Refresh cost feeds
-    // experiments that compare ingestion strategies and must not drift with
-    // the machine's core count.
-    if (sched.serial_sum + net_total > 0) {
-      disk->ChargeDelay(sched.serial_sum + net_total);
-    }
-    stats->serial_sim_nanos = sched.serial_sum + net_total;
-    stats->net_sim_nanos = net_total;
-    if (sharded) {
-      uint64_t slowest = 0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        slowest = std::max(slowest, shard_disk[s] + shard_net[s]);
-        if (shard_disk[s] + shard_net[s] == 0) continue;
-        obs::Tracer::Instant(
-            "shard_scan", "shard",
-            {{"shard", std::to_string(s)},
-             {"disk_nanos", std::to_string(shard_disk[s])},
-             {"net_nanos", std::to_string(shard_net[s])}});
-      }
-      stats->parallel_sim_nanos = slowest;
+      serial = cost.serial_nanos;
+      critical_path = cost.critical_path_nanos;
+      stats->net_sim_nanos += cost.net_nanos;
     } else {
-      stats->parallel_sim_nanos = sched.makespan;
+      std::vector<uint64_t> task_nanos;
+      for (size_t w = begin; w < end; ++w) {
+        task_nanos.push_back(slots[w].sim_nanos);
+      }
+      const SimSchedule sched = ListScheduleSimTimes(task_nanos, workers);
+      serial = sched.serial_sum;
+      critical_path = sched.makespan;
     }
+    // Charge the *serial sum*: the scan's charged simulated cost stays
+    // invariant in the worker count, while the critical path is reported as
+    // what a medium with that much overlap would have stalled — the speedup
+    // bench_refresh measures. Contrast with stage-2 mounts, which charge the
+    // critical path (a query's reported latency *should* drop with lanes);
+    // Open/Refresh cost feeds experiments that compare ingestion strategies
+    // and must not drift with the machine's core count.
+    disk->ChargeDelay(serial);
+    stats->serial_sim_nanos += serial;
+    stats->parallel_sim_nanos += critical_path;
   }
 
   // Merge in enumeration order: catalog row order, stat counters, warning

@@ -35,14 +35,14 @@ struct Stage1Options {
   /// as simulated I/O, mirroring the stage-2 mount path.
   MountRetryPolicy retry;
 
-  /// Optional governance. With a deadline armed the scan serializes on the
-  /// simulated clock (same trade as governed stage-2 admission) and stops
+  /// Optional governance. With a deadline armed the scan admits one file
+  /// per window (the same trade as governed stage-2 admission) and stops
   /// admitting header parses on expiry: files not yet scanned keep their
   /// stale baseline metadata when they have one, and are counted in
-  /// `files_skipped_deadline` either way. A cancel token is honored in both
-  /// modes. The deadline is measured on the context's per-query timeline
-  /// (QueryContext::sim_now), so concurrent queries charging the shared
-  /// clock cannot shift this scan's cutoff.
+  /// `files_skipped_deadline` either way. A cancel token is honored with or
+  /// without a deadline. The deadline is measured on the context's
+  /// per-query timeline (QueryContext::sim_now), so concurrent queries
+  /// charging the shared clock cannot shift this scan's cutoff.
   QueryContext* qctx = nullptr;
 
   /// Worker-pool priority class for the scan's header-parse tasks (only
@@ -56,9 +56,9 @@ struct Stage1Options {
   /// back over its shard's link (charged, deterministic fault streams) and
   /// files owned by a *dead* shard are skipped in the pre-pass: they keep
   /// their stale baseline rows when they have one and are counted in
-  /// `files_skipped_shard` (`is_partial` set), like a deadline cutoff.
-  /// Governed (deadline-armed) scans skip the net charges: they serialize
-  /// on the simulated clock and model a coordinator-local scan.
+  /// `files_skipped_shard` (`is_partial` set), like a deadline cutoff. A
+  /// governed scan pays the same model per one-file window: one request
+  /// and one response per admitted file.
   ShardedRepository* shards = nullptr;
 };
 
@@ -81,17 +81,17 @@ struct Stage1Stats {
   size_t num_shards = 1;          // effective shard count (1 = unsharded)
   size_t files_skipped_shard = 0; // scan candidates on dead shards
   /// Simulated interconnect time charged shipping parsed headers to the
-  /// coordinator (0 when unsharded or governed).
+  /// coordinator (0 when unsharded).
   uint64_t net_sim_nanos = 0;
 
-  /// Simulated stall time of the scan's header reads. The *serial sum* is
-  /// what is charged to the global clock — worker-count-invariant, equal to
-  /// the legacy serial scan's charge — while the critical path is reported
+  /// Simulated stall time of the scan's header reads, summed over its
+  /// admission windows. The *serial sum* is what is charged to the global
+  /// clock — worker-count-invariant — while the critical path is reported
   /// here as what a medium with that much overlap would have stalled
-  /// (bench_refresh's speedup = serial/parallel). Unsharded, the critical
-  /// path is the makespan over `workers` lanes; sharded, it is the slowest
-  /// shard (that shard's summed parse time + its link time): each shard is
-  /// one serial storage node.
+  /// (bench_refresh's speedup = serial/parallel). Unsharded, a window's
+  /// critical path is the makespan over `workers` lanes; sharded, it is the
+  /// slowest shard (that shard's summed parse time + its link time): each
+  /// shard is one serial storage node.
   uint64_t serial_sim_nanos = 0;
   uint64_t parallel_sim_nanos = 0;
 
@@ -106,12 +106,15 @@ struct Stage1Stats {
 ///
 /// The coordinator enumerates files (sorted), stats each one against an
 /// optional baseline (metadata snapshot at Open, the current catalog at
-/// Refresh), registers new files with the simulated disk *before* any task
-/// runs — so object ids, and with them the per-object PRNG fault streams,
-/// are a pure function of the enumeration — and dispatches one ScanFile task
-/// per changed/new file on a worker pool. Per-task simulated stall time goes
-/// into `SimDisk::TaskTimeScope` buckets and is aggregated by deterministic
-/// list scheduling (exec/sim_schedule.h); results are merged in enumeration
+/// Refresh), and admits the changed/new files in admission windows: all of
+/// them in one window, or one file per window when a deadline is armed.
+/// A window registers its new files with the simulated disk *before* any of
+/// its tasks runs — so object ids, and with them the per-object PRNG fault
+/// streams, are a pure function of the enumeration — and dispatches one
+/// ScanFile task per file on a worker pool. Per-task simulated stall time
+/// goes into `SimDisk::TaskTimeScope` buckets and is aggregated by
+/// deterministic list scheduling (exec/sim_schedule.h) or, sharded, by
+/// ShardedRepository::ScatterGather; results are merged in enumeration
 /// order. The catalog, RefreshStats, quarantine decisions, and sim_io_nanos
 /// are therefore bit-identical at any worker count.
 class Stage1Scanner {

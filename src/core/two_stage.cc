@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -24,22 +25,6 @@ constexpr const char* kQfResultId = "__qf";
 constexpr const char* kEmptyResultId = "__empty";
 constexpr const char* kIngestedResultId = "__ingested";
 
-// Payload of one scatter request ("mount these files") to a shard. Small and
-// fixed: the request is dominated by the link latency, not its bytes.
-constexpr uint64_t kShardRequestBytes = 256;
-
-// Warnings accumulated into a query's MountOutcome are bounded the same way
-// Mounter bounds its own (the database bounds again at copy time).
-constexpr size_t kMaxShardWarnings = 32;
-
-void AddShardWarning(Mounter::MountOutcome* outcome, std::string msg) {
-  if (outcome->warnings.size() < kMaxShardWarnings) {
-    outcome->warnings.push_back(std::move(msg));
-  } else {
-    ++outcome->warnings_dropped;
-  }
-}
-
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -48,7 +33,7 @@ uint64_t NowNanos() {
 }
 
 /// Runs `fn` at scope exit — used for the cleanup Execute owes on every
-/// return path (budget reservations, cache pins).
+/// return path (cache pins).
 template <typename F>
 struct ScopeExit {
   F fn;
@@ -56,17 +41,6 @@ struct ScopeExit {
 };
 template <typename F>
 ScopeExit(F) -> ScopeExit<F>;
-
-/// Book-keeping for stage-2 memory reservations and (when governed)
-/// admission, shared with the mount_fn closure. Only touched from the
-/// coordinator thread: the mount_fn runs inline as union branches open, and
-/// governed queries additionally skip PremountUnion, so access is serial.
-struct AdmissionState {
-  bool stopped = false;           // no further mounts are admitted
-  bool stopped_by_memory = false; // why: budget (true) vs deadline (false)
-  Status reason;                  // DeadlineExceeded / ResourceExhausted
-  uint64_t reserved_bytes = 0;    // partial-table reservations to release
-};
 
 /// Collects the column names read by the expressions of `node`'s subtree:
 /// join, filter and fused-mount predicates, projections, group keys,
@@ -130,6 +104,307 @@ TablePtr NarrowQf(const TablePtr& qf, const PlanPtr& stage2_plan) {
   retype(stage2_plan);
   return narrowed;
 }
+
+/// One query's stage-2 admission: the only caller of Mounter::Mount here.
+/// Mount branches are taken in union order and cut into admission windows,
+/// all of them in one window when the query has no limits and one file per
+/// window when it is governed. A window
+///  1. checks the deadline (governed only);
+///  2. runs its mounts as tasks, each into its own SimDisk::TaskTimeScope
+///     bucket;
+///  3. charges its cost as one delay: the makespan of the buckets
+///     list-scheduled onto the query's lanes, or, sharded, the slowest
+///     shard of ShardedRepository::ScatterGather;
+///  4. commits in branch order: outcomes merge, a failed gather quarantines
+///     its file, and each table reserves its bytes in the memory budget,
+///     evicting unpinned cache entries first. A table that still does not
+///     fit stops admission.
+/// A skipped or quarantined file becomes an empty table, so its branch
+/// contributes no rows. Governed windows run one after another on the
+/// query's own simulated timeline, so the cutoff falls on the same file at
+/// any lane count. Only the coordinator thread touches this object.
+class Stage2Admission {
+ public:
+  Stage2Admission(Mounter* mounter, FileRegistry* registry,
+                  CacheManager* cache, ThreadPool* pool, QueryContext* qctx,
+                  const TwoStageOptions* opts, TwoStageStats* stats,
+                  ShardedRepository* shards, int num_shards, size_t lanes,
+                  int priority)
+      : mounter_(mounter),
+        registry_(registry),
+        cache_(cache),
+        pool_(pool),
+        qctx_(qctx),
+        opts_(opts),
+        stats_(stats),
+        shards_(shards),
+        num_shards_(num_shards),
+        lanes_(lanes),
+        priority_(priority),
+        governed_(qctx->has_limits()) {}
+
+  // Partial tables die with the query's plan and never reach the catalog,
+  // so their reservations end with the query on every return path.
+  ~Stage2Admission() { qctx_->memory()->Release(reserved_bytes_); }
+
+  Stage2Admission(const Stage2Admission&) = delete;
+  Stage2Admission& operator=(const Stage2Admission&) = delete;
+
+  /// Admits the mount branches of `union_node` ahead of the plan that reads
+  /// them (nothing for a node that is not a union).
+  Status AdmitUnion(const PlanPtr& union_node) {
+    std::vector<const LogicalPlan*> mounts;
+    if (union_node != nullptr && union_node->kind == PlanKind::kUnion) {
+      for (const PlanPtr& branch : union_node->children) {
+        if (branch->kind == PlanKind::kMount) mounts.push_back(branch.get());
+      }
+    }
+    DEX_ASSIGN_OR_RETURN(std::vector<TablePtr> tables, Wave(mounts));
+    for (size_t i = 0; i < mounts.size(); ++i) {
+      admitted_[mounts[i]->uri] = {mounts[i]->predicate, std::move(tables[i])};
+    }
+    return Status::OK();
+  }
+
+  /// The plan's mount_fn. An admitted table is handed out once, on URI and
+  /// exact predicate-instance match (each union branch opens once). Any
+  /// other mount the plan opens, such as a cache-scan whose entry is gone
+  /// or a branch outside the admitted union, runs as a one-file window.
+  Result<TablePtr> Open(const std::string& table, const std::string& uri,
+                        const ExprPtr& pred) {
+    auto it = admitted_.find(uri);
+    if (it != admitted_.end() && it->second.predicate.get() == pred.get()) {
+      TablePtr t = std::move(it->second.table);
+      admitted_.erase(it);
+      return t;
+    }
+    PlanPtr node = MakeMount(table, uri);
+    node->predicate = pred;
+    DEX_ASSIGN_OR_RETURN(std::vector<TablePtr> one, Wave({node.get()}));
+    return std::move(one[0]);
+  }
+
+ private:
+  struct Admitted {
+    ExprPtr predicate;  // the plan node's fused-predicate instance
+    TablePtr table;
+  };
+  struct Slot {
+    TablePtr table;
+    Mounter::MountOutcome outcome;
+    uint64_t sim_nanos = 0;
+  };
+
+  /// One table per mount, in order: its rows, or an empty table.
+  Result<std::vector<TablePtr>> Wave(
+      const std::vector<const LogicalPlan*>& mounts) {
+    std::vector<TablePtr> tables(mounts.size());
+    const size_t window = governed_ ? 1 : mounts.size();
+    for (size_t begin = 0; begin < mounts.size(); begin += window) {
+      if (governed_ && !stopped_ && qctx_->DeadlineExpired(SimNow())) {
+        Stop(qctx_->DeadlineStatus(SimNow()), /*by_memory=*/false);
+      }
+      if (stopped_) {
+        for (size_t i = begin; i < mounts.size(); ++i) {
+          DEX_ASSIGN_OR_RETURN(tables[i], Skip(*mounts[i]));
+        }
+        break;
+      }
+      std::vector<Slot> slots(std::min(window, mounts.size() - begin));
+      TaskGroup group(slots.size() > 1 ? pool_ : nullptr, priority_);
+      for (size_t i = 0; i < slots.size(); ++i) {
+        const LogicalPlan* node = mounts[begin + i];
+        Slot* slot = &slots[i];
+        // TaskGroup::Spawn captures the trace context, so the span parents
+        // under the coordinator's current span on any thread.
+        group.Spawn([this, node, slot]() -> Status {
+          // A cancelled query skips the tasks that have not started yet.
+          DEX_RETURN_NOT_OK(qctx_->CheckInterrupt());
+          obs::TraceSpan span("mount_task", "mount");
+          span.AddArg("uri", node->uri);
+          span.AddArg("lane", static_cast<uint64_t>(obs::CurrentThreadLane()));
+          SimDisk::TaskTimeScope scope(&slot->sim_nanos);
+          DEX_ASSIGN_OR_RETURN(
+              slot->table,
+              mounter_->Mount(node->table_name, node->uri, node->predicate,
+                              &slot->outcome, qctx_, &opts_->pruning));
+          return Status::OK();
+        });
+      }
+      DEX_RETURN_NOT_OK(group.Wait());
+      const std::vector<Status> gathered = Charge(&mounts[begin], slots);
+      for (size_t i = 0; i < slots.size(); ++i) {
+        DEX_ASSIGN_OR_RETURN(tables[begin + i],
+                             Commit(*mounts[begin + i], &slots[i], gathered[i]));
+      }
+    }
+    return tables;
+  }
+
+  /// Charges a window to the simulated clock as one delay and returns each
+  /// mount's gather status (all OK when unsharded).
+  std::vector<Status> Charge(const LogicalPlan* const* mounts,
+                             const std::vector<Slot>& slots) {
+    std::vector<Status> gathered(slots.size(), Status::OK());
+    uint64_t critical_path = 0;
+    if (shards_ != nullptr) {
+      std::vector<ShardedRepository::GatherItem> items;
+      for (size_t i = 0; i < slots.size(); ++i) {
+        items.push_back({shards_->ShardOf(mounts[i]->uri, num_shards_),
+                         slots[i].sim_nanos, true, slots[i].table->ByteSize()});
+      }
+      ShardedRepository::GatherCost cost = shards_->ScatterGather(items);
+      critical_path = cost.critical_path_nanos;
+      stats_->serial_sim_nanos += cost.serial_nanos;
+      stats_->net_sim_nanos += cost.net_nanos;
+      // Rows merge across windows by shard id.
+      for (const ShardedRepository::ShardCost& s : cost.shards) {
+        auto row = std::find_if(
+            stats_->shard_rows.begin(), stats_->shard_rows.end(),
+            [&s](const TwoStageStats::ShardRow& r) { return r.shard == s.shard; });
+        if (row == stats_->shard_rows.end()) {
+          stats_->shard_rows.push_back(s);
+          continue;
+        }
+        row->files += s.files;
+        row->disk_sim_nanos += s.disk_sim_nanos;
+        row->net_sim_nanos += s.net_sim_nanos;
+        row->net_messages += s.net_messages;
+      }
+      gathered = std::move(cost.failures);
+    } else {
+      std::vector<uint64_t> task_nanos;
+      for (const Slot& slot : slots) task_nanos.push_back(slot.sim_nanos);
+      const SimSchedule sched = ListScheduleSimTimes(task_nanos, lanes_);
+      critical_path = sched.makespan;
+      stats_->serial_sim_nanos += sched.serial_sum;
+    }
+    registry_->disk()->ChargeDelay(critical_path);
+    stats_->parallel_sim_nanos += critical_path;
+    stats_->mount_tasks += slots.size();
+    return gathered;
+  }
+
+  /// Commits one mounted file: its outcome merges, then a failed gather
+  /// quarantines it, else its table reserves its bytes or stops admission.
+  Result<TablePtr> Commit(const LogicalPlan& node, Slot* slot,
+                          const Status& gathered) {
+    stats_->mount.MergeFrom(slot->outcome);
+    if (!gathered.ok()) {
+      // The response never crossed the link (loss past the resend budget,
+      // or the shard died mid-query): the file is quarantined and serves no
+      // rows, deterministically because the link fault streams are.
+      registry_->Quarantine(node.uri, gathered.message());
+      Mounter::MountOutcome warning;
+      warning.warnings.push_back("gather of '" + node.uri + "' failed: " +
+                                 gathered.message() + " (file quarantined)");
+      stats_->mount.MergeFrom(warning);
+      return Empty(node);
+    }
+    if (stopped_) return Skip(node);
+    // The table must fit under the query's own cap (if any) and in the
+    // shared budget. Evicting unpinned cache entries can only help the
+    // shared budget.
+    const uint64_t bytes = slot->table->ByteSize();
+    MemoryBudget* budget = qctx_->memory();
+    const uint64_t query_cap = qctx_->query_memory_limit();
+    const bool over_query_cap =
+        query_cap != 0 && reserved_bytes_ + bytes > query_cap;
+    bool reserved = false;
+    if (!over_query_cap) {
+      reserved = budget->TryReserve(bytes);
+      if (!reserved && cache_ != nullptr) {
+        const size_t evicted = cache_->EvictUnpinned(bytes);
+        stats_->mem_budget_evictions += evicted;
+        if (evicted > 0) {
+          obs::FlightEvent ev;
+          ev.kind = "budget_eviction";
+          ev.detail = std::to_string(evicted) + " cache entries for '" +
+                      node.uri + "'";
+          obs::FlightRecorder::Global().Record(std::move(ev));
+        }
+        reserved = budget->TryReserve(bytes);
+      }
+    }
+    if (!reserved) {
+      const std::string needed = " bytes exhausted mounting '" + node.uri +
+                                 "' (" + std::to_string(bytes) +
+                                 " bytes needed, ";
+      Stop(over_query_cap
+               ? Status::ResourceExhausted(
+                     "per-query memory cap of " + std::to_string(query_cap) +
+                     needed + std::to_string(reserved_bytes_) + " reserved)")
+               : Status::ResourceExhausted(
+                     "memory budget of " + std::to_string(budget->limit()) +
+                     needed + std::to_string(budget->used()) + " in use)"),
+           /*by_memory=*/true);
+      // The file's simulated I/O is charged already, and the same file
+      // exhausts the budget at any lane count; its rows are discarded.
+      return Skip(node);
+    }
+    reserved_bytes_ += bytes;
+    // Reservations are held until the query ends, so the running total is
+    // the query's own high-water mark.
+    stats_->mem_reserved_peak = reserved_bytes_;
+    return std::move(slot->table);
+  }
+
+  /// A branch refused admission: the query fails under kFailQuery, else
+  /// the result is partial and the branch reads no rows.
+  Result<TablePtr> Skip(const LogicalPlan& node) {
+    if (opts_->on_resource_exhausted == OnResourceExhausted::kFailQuery) {
+      return reason_;
+    }
+    stats_->is_partial = true;
+    ++(stopped_by_memory_ ? stats_->files_skipped_memory
+                          : stats_->files_skipped_deadline);
+    return Empty(node);
+  }
+
+  static TablePtr Empty(const LogicalPlan& node) {
+    return std::make_shared<Table>(node.table_name, MakeDataSchema());
+  }
+
+  /// Closes admission and records the cutoff, once.
+  void Stop(Status reason, bool by_memory) {
+    stopped_ = true;
+    stopped_by_memory_ = by_memory;
+    reason_ = std::move(reason);
+    stats_->cutoff_sim_nanos = SimNow() - qctx_->sim_start_nanos();
+    stats_->cutoff_wall_nanos = qctx_->wall_elapsed_nanos();
+    const char* kind = by_memory ? "memory_cutoff" : "deadline_cutoff";
+    obs::Tracer::Instant(
+        kind, "governance",
+        {{"cutoff_sim_nanos", std::to_string(stats_->cutoff_sim_nanos)}});
+    obs::FlightEvent ev;
+    ev.kind = kind;
+    ev.detail = reason_.message();
+    obs::FlightRecorder::Global().Record(std::move(ev));
+  }
+
+  /// The query's position on its own simulated timeline.
+  uint64_t SimNow() const {
+    return qctx_->sim_now(registry_->disk()->stats().sim_nanos);
+  }
+
+  Mounter* mounter_;
+  FileRegistry* registry_;
+  CacheManager* cache_;
+  ThreadPool* pool_;  // null: tasks run inline on the coordinator
+  QueryContext* qctx_;
+  const TwoStageOptions* opts_;
+  TwoStageStats* stats_;
+  ShardedRepository* shards_;  // null when the query runs unsharded
+  int num_shards_;
+  size_t lanes_;
+  int priority_;
+  bool governed_;
+  bool stopped_ = false;            // no further mounts are admitted
+  bool stopped_by_memory_ = false;  // why: budget (true) or deadline (false)
+  Status reason_;                   // DeadlineExceeded / ResourceExhausted
+  uint64_t reserved_bytes_ = 0;     // this query's reservations
+  std::unordered_map<std::string, Admitted> admitted_;  // not yet opened
+};
 
 }  // namespace
 
@@ -325,420 +600,67 @@ ThreadPool* TwoStageExecutor::Pool(size_t workers) {
   return pool_.get();
 }
 
-Status TwoStageExecutor::PremountUnion(const PlanPtr& union_node, size_t workers,
-                                       int priority, TwoStageStats* stats,
-                                       PremountMap* premounted,
-                                       QueryContext* qctx,
-                                       const PruningOptions* pruning,
-                                       ShardedRepository* shards,
-                                       int num_shards) {
-  if (qctx != nullptr && qctx->has_limits()) {
-    // Governed queries serialize admission: every mount opens inline in
-    // union-branch order, so the deadline/budget cutoff is a function of the
-    // deterministic simulated timeline instead of worker scheduling. The
-    // trade (documented in DESIGN.md §8.8): no parallel mount overlap while
-    // a deadline or memory budget is armed. (Sharded governed queries charge
-    // their gather transfers inline in the mount_fn instead.)
-    return Status::OK();
-  }
-  const bool sharded = shards != nullptr && num_shards > 1;
-  if (union_node == nullptr || union_node->kind != PlanKind::kUnion) {
-    return Status::OK();
-  }
-  if (!sharded && workers <= 1) {
-    return Status::OK();  // legacy path: mounts open inline, one at a time
-  }
-  // The union's branch order is the files-of-interest order (URIs,
-  // deterministic), so task index doubles as the deterministic tiebreak for
-  // error reporting and time aggregation.
-  std::vector<const LogicalPlan*> mounts;
-  for (const PlanPtr& child : union_node->children) {
-    if (child->kind == PlanKind::kMount) mounts.push_back(child.get());
-  }
-  // Unsharded: overlap needs at least two mounts. Sharded: the wave runs
-  // even for a single mount at a single worker — the per-shard cost model
-  // (not the worker-lane makespan) is what gets charged, and it must be the
-  // same at every worker count.
-  if (mounts.empty() || (!sharded && mounts.size() < 2)) return Status::OK();
-
-  struct TaskResult {
-    TablePtr table;
-    Mounter::MountOutcome outcome;
-    uint64_t sim_nanos = 0;
-  };
-  std::vector<TaskResult> results(mounts.size());
-  TaskGroup group(workers > 1 ? Pool(workers) : nullptr, priority);
-  for (size_t i = 0; i < mounts.size(); ++i) {
-    const LogicalPlan* node = mounts[i];
-    TaskResult* slot = &results[i];
-    // Trace context (order key + parent span) is captured at spawn time and
-    // installed on the worker thread by TaskGroup::Spawn itself, so the span
-    // below parents under the coordinator's current span automatically.
-    group.Spawn([this, node, slot, qctx, pruning]() -> Status {
-      // A cancelled query skips tasks that have not started yet; the cancel
-      // reason propagates through the group's lowest-index error rule.
-      if (qctx != nullptr) DEX_RETURN_NOT_OK(qctx->CheckInterrupt());
-      obs::TraceSpan span("mount_task", "mount");
-      span.AddArg("uri", node->uri);
-      span.AddArg("lane", static_cast<uint64_t>(obs::CurrentThreadLane()));
-      // Route this task's simulated stall time into its own bucket so the
-      // wave's cost can be aggregated as a critical path afterwards,
-      // independent of real thread interleaving.
-      SimDisk::TaskTimeScope scope(&slot->sim_nanos);
-      DEX_ASSIGN_OR_RETURN(slot->table,
-                           mounter_->Mount(node->table_name, node->uri,
-                                           node->predicate, &slot->outcome,
-                                           qctx, pruning));
-      return Status::OK();
-    });
-  }
-  DEX_RETURN_NOT_OK(group.Wait());
-
-  if (sharded) {
-    // Sharded time model: each shard is one storage node with a serial disk
-    // behind its own link. The wave costs max over shards of (the shard's
-    // summed mount time + the shard's net time) — the slowest *shard*, not
-    // the slowest worker lane — so the charge is identical at every worker
-    // count and physical pool size. Worker threads only shorten wall time.
-    const size_t n = static_cast<size_t>(num_shards);
-    std::vector<int> owner(mounts.size());
-    std::vector<uint64_t> disk_nanos(n, 0);
-    std::vector<uint64_t> net_nanos(n, 0);
-    std::vector<size_t> files(n, 0);
-    for (size_t i = 0; i < mounts.size(); ++i) {
-      owner[i] = shards->ShardOf(mounts[i]->uri, num_shards);
-      disk_nanos[static_cast<size_t>(owner[i])] += results[i].sim_nanos;
-      ++files[static_cast<size_t>(owner[i])];
-    }
-    // Gather on the coordinator at the barrier, in shard then branch order:
-    // the k-th transfer on a link is the same transfer in every run, so the
-    // per-link fault streams replay bit-identically. One scatter request per
-    // shard with work, then each mounted table ships back over its link.
-    SimNetwork* net = shards->network();
-    std::vector<uint64_t> messages(n, 0);
-    std::vector<Status> gather_failure(mounts.size(), Status::OK());
-    for (int s = 0; s < num_shards; ++s) {
-      if (files[static_cast<size_t>(s)] == 0) continue;
-      // The shard's transfers land in its own bucket; the global clock is
-      // charged once below with the wave's critical path.
-      SimDisk::TaskTimeScope scope(&net_nanos[static_cast<size_t>(s)]);
-      (void)net->Transfer(shards->LinkOf(s), kShardRequestBytes);
-      ++messages[static_cast<size_t>(s)];
-      for (size_t i = 0; i < mounts.size(); ++i) {
-        if (owner[i] != s || results[i].table == nullptr) continue;
-        Result<uint64_t> resp =
-            net->Transfer(shards->LinkOf(s), results[i].table->ByteSize());
-        ++messages[static_cast<size_t>(s)];
-        if (!resp.ok()) gather_failure[i] = resp.status();
-      }
-    }
-    uint64_t wave = 0;
-    for (size_t s = 0; s < n; ++s) {
-      wave = std::max(wave, disk_nanos[s] + net_nanos[s]);
-      stats->serial_sim_nanos += disk_nanos[s] + net_nanos[s];
-      stats->net_sim_nanos += net_nanos[s];
-      if (files[s] == 0) continue;
-      // Per-shard accounting row (merged across batched waves by shard id).
-      TwoStageStats::ShardRow* row = nullptr;
-      for (TwoStageStats::ShardRow& r : stats->shard_rows) {
-        if (r.shard == static_cast<int>(s)) row = &r;
-      }
-      if (row == nullptr) {
-        stats->shard_rows.push_back(TwoStageStats::ShardRow{});
-        row = &stats->shard_rows.back();
-        row->shard = static_cast<int>(s);
-      }
-      row->files += files[s];
-      row->disk_sim_nanos += disk_nanos[s];
-      row->net_sim_nanos += net_nanos[s];
-      row->net_messages += messages[s];
-      obs::Tracer::Instant(
-          "shard_gather", "shard",
-          {{"shard", std::to_string(s)},
-           {"files", std::to_string(files[s])},
-           {"disk_nanos", std::to_string(disk_nanos[s])},
-           {"net_nanos", std::to_string(net_nanos[s])}});
-    }
-    registry_->disk()->ChargeDelay(wave);
-    stats->parallel_sim_nanos += wave;
-    stats->mount_tasks += mounts.size();
-    for (size_t i = 0; i < mounts.size(); ++i) {
-      stats->mount.MergeFrom(results[i].outcome);
-      if (!gather_failure[i].ok()) {
-        // The response never made it across the link (loss past the resend
-        // budget, or the shard died mid-wave): quarantine the file and let
-        // its branch contribute no rows — the same degradation as a
-        // governance skip, and deterministic because the fault streams are.
-        registry_->Quarantine(mounts[i]->uri, gather_failure[i].message());
-        AddShardWarning(&stats->mount,
-                        "gather of '" + mounts[i]->uri +
-                            "' failed: " + gather_failure[i].message() +
-                            " (file quarantined)");
-        (*premounted)[mounts[i]->uri] = PremountEntry{
-            mounts[i]->predicate,
-            std::make_shared<Table>(mounts[i]->table_name, MakeDataSchema())};
-        continue;
-      }
-      (*premounted)[mounts[i]->uri] =
-          PremountEntry{mounts[i]->predicate, std::move(results[i].table)};
-    }
-    return Status::OK();
-  }
-
-  // Deterministic time model: greedy list scheduling of the per-task stall
-  // times onto `workers` lanes, in task order. The makespan (longest lane)
-  // is what a machine with `workers` disks-worth of overlap would have
-  // stalled; it is charged to the medium as this wave's elapsed time.
-  // (Contrast with the stage-1 scan, which charges the serial sum and only
-  // *reports* the makespan: a query's latency should drop with workers,
-  // Open/Refresh cost must not drift with the core count.)
-  std::vector<uint64_t> task_nanos;
-  task_nanos.reserve(results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    task_nanos.push_back(results[i].sim_nanos);
-    stats->mount.MergeFrom(results[i].outcome);
-    (*premounted)[mounts[i]->uri] =
-        PremountEntry{mounts[i]->predicate, std::move(results[i].table)};
-  }
-  const SimSchedule sched = ListScheduleSimTimes(task_nanos, workers);
-  registry_->disk()->ChargeDelay(sched.makespan);
-  stats->parallel_sim_nanos += sched.makespan;
-  stats->serial_sim_nanos += sched.serial_sum;
-  stats->mount_tasks += mounts.size();
-  return Status::OK();
-}
-
 Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
                                            const BreakpointCallback& callback,
                                            TwoStageStats* stats,
                                            PlanProfiler* profiler,
-                                           QueryContext* qctx,
-                                           const QueryEnv* env) {
+                                           QueryContext& qctx,
+                                           const QueryEnv& env) {
   DEX_CHECK(stats != nullptr);
-  // The query's own view of the world: its pinned catalog epoch, effective
-  // options, and pool priority. Defaults reproduce the single-query behavior.
-  Catalog* catalog =
-      (env != nullptr && env->catalog != nullptr) ? env->catalog : catalog_;
-  const TwoStageOptions& opts =
-      (env != nullptr && env->options != nullptr) ? *env->options : options_;
-  const int priority = env != nullptr ? env->priority
-                                      : ThreadPool::kPriorityNormal;
-  ShardedRepository* shards =
-      (env != nullptr && env->shards != nullptr) ? env->shards : nullptr;
+  Catalog* catalog = env.catalog;
+  const TwoStageOptions& opts = *env.options;
   const int num_shards =
-      shards != nullptr ? shards->ClampShardCount(env->num_shards) : 1;
-  const bool sharded = shards != nullptr && num_shards > 1;
+      env.shards != nullptr ? env.shards->ClampShardCount(env.num_shards) : 1;
+  // Null when the query runs unsharded.
+  ShardedRepository* shards = num_shards > 1 ? env.shards : nullptr;
   stats->num_shards = static_cast<size_t>(num_shards);
 
   DEX_ASSIGN_OR_RETURN(SplitResult split, SplitPlan(plan, *catalog));
 
-  const bool governed = qctx != nullptr && qctx->has_limits();
+  const bool governed = qctx.has_limits();
   const size_t workers = opts.num_threads == 0
                              ? ThreadPool::DefaultConcurrency()
                              : opts.num_threads;
-  // Governed queries serialize stage-2 admission (PremountUnion is a no-op),
-  // so report the effective lane count.
+  // Governed admission runs one-file windows, one after another.
   stats->workers = governed ? 1 : workers;
+  Stage2Admission admission(mounter_, registry_, cache_,
+                            governed || workers <= 1 ? nullptr : Pool(workers),
+                            &qctx, &opts, stats, shards, num_shards, workers,
+                            env.priority);
 
-  // Mounts completed ahead of plan execution by worker tasks. The mount_fn
-  // serves them on URI + exact-predicate match; anything else (cache-scan
-  // fallbacks, re-opened branches) takes the real serial mount path.
-  auto premounted = std::make_shared<PremountMap>();
-  // Reservation/admission book-keeping, shared with the mount_fn closure.
-  // Present for every governed *or merely tracked* query (any qctx): an
-  // ungoverned run still reserves against the unlimited budget, so its
-  // `mem_reserved_peak` reports what a governed run would have needed.
-  auto admission = qctx != nullptr ? std::make_shared<AdmissionState>() : nullptr;
   // URIs pinned in the cache for this query's cache-scan branches.
   std::vector<std::string> pinned_uris;
   ScopeExit cleanup{[&] {
-    // All return paths: partial tables never outlive the query, so their
-    // budget reservations don't either (the tables themselves are dangling
-    // shared_ptrs that die with the plan — nothing reaches the catalog).
-    if (admission != nullptr && admission->reserved_bytes > 0) {
-      qctx->memory()->Release(admission->reserved_bytes);
-    }
     if (cache_ != nullptr) {
       for (const std::string& uri : pinned_uris) cache_->Unpin(uri);
     }
-    if (qctx != nullptr) stats->mem_reserved_peak = qctx->memory()->peak();
   }};
-
-  // Flips the admission gate shut and records the cutoff (once).
-  auto stop_admission = [this, stats, qctx](AdmissionState* adm, Status reason,
-                                            bool by_memory, uint64_t sim_now) {
-    adm->stopped = true;
-    adm->stopped_by_memory = by_memory;
-    adm->reason = std::move(reason);
-    stats->cutoff_sim_nanos = sim_now - qctx->sim_start_nanos();
-    stats->cutoff_wall_nanos = qctx->wall_elapsed_nanos();
-    obs::Tracer::Instant(
-        by_memory ? "memory_cutoff" : "deadline_cutoff", "governance",
-        {{"cutoff_sim_nanos", std::to_string(stats->cutoff_sim_nanos)}});
-    // Governed admission runs serially on the coordinator, so the cutoff
-    // event is deterministic: the same file triggers it at any worker count.
-    obs::FlightEvent ev;
-    ev.kind = by_memory ? "memory_cutoff" : "deadline_cutoff";
-    ev.detail = adm->reason.message();
-    obs::FlightRecorder::Global().Record(std::move(ev));
-  };
 
   ExecContext ctx;
   ctx.catalog = catalog;
   ctx.profiler = profiler;
   ctx.use_simd_kernels = opts.pruning.use_simd_kernels;
-  if (qctx != nullptr) {
-    // Per-batch cooperative cancellation in the volcano operators. Under
-    // kFailQuery a deadline behaves like a cancellation (the whole plan
-    // aborts); under kPartialResults it only gates mount admission, so the
-    // plan runs to completion over whatever was admitted. Deadlines are
-    // measured on the query's own sim timeline (qctx->sim_now): under
-    // concurrent serving the global clock advances with everyone's I/O.
-    SimDisk* disk = registry_->disk();
-    const bool fail_on_deadline =
-        qctx->has_deadline() &&
-        opts.on_resource_exhausted == OnResourceExhausted::kFailQuery;
-    ctx.interrupt_fn = [qctx, disk, fail_on_deadline]() -> Status {
-      DEX_RETURN_NOT_OK(qctx->CheckInterrupt());
-      if (fail_on_deadline) {
-        const uint64_t sim_now = qctx->sim_now(disk->stats().sim_nanos);
-        if (qctx->DeadlineExpired(sim_now)) return qctx->DeadlineStatus(sim_now);
-      }
-      return Status::OK();
-    };
-  }
-  // Gather charge for a mount performed *outside* the sharded premount wave
-  // (governed admission serializes mounts inline; premount fallbacks): the
-  // file's table still crosses its shard's link exactly once. These run
-  // serially in union-branch order on the coordinator, so the per-link fault
-  // streams replay deterministically; with no TaskTimeScope installed the
-  // transfer charges the global clock (plus the query's tee) directly.
-  auto charge_gather = [shards, num_shards, sharded,
-                        stats](const std::string& uri, const TablePtr& t) {
-    if (!sharded || t == nullptr) return;
-    const int s = shards->ShardOf(uri, num_shards);
-    Result<uint64_t> r =
-        shards->network()->Transfer(shards->LinkOf(s), t->ByteSize());
-    // A failed transfer (shard killed mid-query) still charged its attempt;
-    // dead shards are normally filtered at planning time, so keep the
-    // already-mounted data rather than inventing a second failure path.
-    if (r.ok()) stats->net_sim_nanos += *r;
+  // Per-batch cooperative cancellation in the volcano operators. Under
+  // kFailQuery a deadline behaves like a cancellation (the whole plan
+  // aborts); under kPartialResults it only gates mount admission, so the
+  // plan runs to completion over whatever was admitted. Deadlines are
+  // measured on the query's own sim timeline (qctx.sim_now): under
+  // concurrent serving the global clock advances with everyone's I/O.
+  SimDisk* disk = registry_->disk();
+  const bool fail_on_deadline =
+      qctx.has_deadline() &&
+      opts.on_resource_exhausted == OnResourceExhausted::kFailQuery;
+  ctx.interrupt_fn = [&qctx, disk, fail_on_deadline]() -> Status {
+    DEX_RETURN_NOT_OK(qctx.CheckInterrupt());
+    if (fail_on_deadline) {
+      const uint64_t sim_now = qctx.sim_now(disk->stats().sim_nanos);
+      if (qctx.DeadlineExpired(sim_now)) return qctx.DeadlineStatus(sim_now);
+    }
+    return Status::OK();
   };
-  ctx.mount_fn = [this, stats, premounted, qctx, admission, stop_admission,
-                  governed, charge_gather, &opts](
-                     const std::string& table, const std::string& uri,
-                     const ExprPtr& pred) -> Result<TablePtr> {
-    auto it = premounted->find(uri);
-    if (it != premounted->end() && it->second.predicate.get() == pred.get()) {
-      TablePtr t = std::move(it->second.table);
-      premounted->erase(it);  // each union branch opens once
-      if (admission != nullptr && qctx->memory()->TryReserve(t->ByteSize())) {
-        admission->reserved_bytes += t->ByteSize();
-      }
-      return Result<TablePtr>(std::move(t));
-    }
-    if (admission == nullptr) {
-      auto mounted = mounter_->Mount(table, uri, pred, &stats->mount, qctx,
-                                     &opts.pruning);
-      if (mounted.ok()) charge_gather(uri, *mounted);
-      return mounted;
-    }
-    if (!governed) {
-      // Tracked but not limited: reservations against the unlimited budget
-      // always succeed and only maintain the high-water mark.
-      auto mounted = mounter_->Mount(table, uri, pred, &stats->mount, qctx,
-                                     &opts.pruning);
-      if (!mounted.ok()) return mounted;
-      charge_gather(uri, *mounted);
-      if (qctx->memory()->TryReserve((*mounted)->ByteSize())) {
-        admission->reserved_bytes += (*mounted)->ByteSize();
-      }
-      return mounted;
-    }
-    // Governed admission, decided serially in union-branch order against
-    // the query's simulated timeline: the set of admitted files is the same
-    // at any worker count — and, with a per-query sim counter attached,
-    // independent of what concurrent queries charge to the global clock.
-    if (!admission->stopped) {
-      const uint64_t sim_now =
-          qctx->sim_now(registry_->disk()->stats().sim_nanos);
-      if (qctx->DeadlineExpired(sim_now)) {
-        stop_admission(admission.get(), qctx->DeadlineStatus(sim_now),
-                       /*by_memory=*/false, sim_now);
-      }
-    }
-    if (admission->stopped) {
-      if (opts.on_resource_exhausted == OnResourceExhausted::kFailQuery) {
-        return admission->reason;
-      }
-      stats->is_partial = true;
-      if (admission->stopped_by_memory) {
-        ++stats->files_skipped_memory;
-      } else {
-        ++stats->files_skipped_deadline;
-      }
-      // Degrade like a quarantined file: the branch contributes no rows.
-      return Result<TablePtr>(std::make_shared<Table>(table, MakeDataSchema()));
-    }
-    auto mounted = mounter_->Mount(table, uri, pred, &stats->mount, qctx,
-                                   &opts.pruning);
-    if (!mounted.ok()) return mounted;
-    // The mounted table ships to the coordinator before memory admission is
-    // decided: a table the budget then discards still crossed the link.
-    charge_gather(uri, *mounted);
-    // Memory admission, two layers: the partial table must fit under the
-    // query's own cap (if any) *and* in the shared budget. Eviction of
-    // unpinned cache entries is tried only for the shared budget — freeing
-    // cache space cannot help a query that exhausted its private cap.
-    const uint64_t bytes = (*mounted)->ByteSize();
-    MemoryBudget* budget = qctx->memory();
-    const uint64_t query_cap = qctx->query_memory_limit();
-    const bool over_query_cap =
-        query_cap != 0 && admission->reserved_bytes + bytes > query_cap;
-    bool reserved = false;
-    if (!over_query_cap) {
-      reserved = budget->TryReserve(bytes);
-      if (!reserved && cache_ != nullptr) {
-        const size_t evicted = cache_->EvictUnpinned(bytes);
-        stats->mem_budget_evictions += evicted;
-        if (evicted > 0) {
-          obs::FlightEvent ev;
-          ev.kind = "budget_eviction";
-          ev.detail = std::to_string(evicted) + " cache entries for '" + uri + "'";
-          obs::FlightRecorder::Global().Record(std::move(ev));
-        }
-        reserved = budget->TryReserve(bytes);
-      }
-    }
-    if (!reserved) {
-      const uint64_t sim_now =
-          qctx->sim_now(registry_->disk()->stats().sim_nanos);
-      stop_admission(
-          admission.get(),
-          over_query_cap
-              ? Status::ResourceExhausted(
-                    "per-query memory cap of " + std::to_string(query_cap) +
-                    " bytes exhausted mounting '" + uri + "' (" +
-                    std::to_string(bytes) + " bytes needed, " +
-                    std::to_string(admission->reserved_bytes) + " reserved)")
-              : Status::ResourceExhausted(
-                    "memory budget of " + std::to_string(budget->limit()) +
-                    " bytes exhausted mounting '" + uri + "' (" +
-                    std::to_string(bytes) + " bytes needed, " +
-                    std::to_string(budget->used()) + " in use)"),
-          /*by_memory=*/true, sim_now);
-      if (opts.on_resource_exhausted == OnResourceExhausted::kFailQuery) {
-        return admission->reason;
-      }
-      // The triggering file's simulated I/O is already charged (the same
-      // file triggers exhaustion at any worker count, so this stays
-      // deterministic); its data cannot be admitted and is discarded.
-      stats->is_partial = true;
-      ++stats->files_skipped_memory;
-      return Result<TablePtr>(std::make_shared<Table>(table, MakeDataSchema()));
-    }
-    admission->reserved_bytes += bytes;
-    return mounted;
+  ctx.mount_fn = [&admission](const std::string& table, const std::string& uri,
+                              const ExprPtr& pred) {
+    return admission.Open(table, uri, pred);
   };
   ctx.cache_fn = [this](const std::string& table, const std::string& uri) {
     return mounter_->CacheLookup(table, uri);
@@ -797,7 +719,7 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
   // planning time — before the rewrite builds their branches — so the query
   // degrades to the same deterministic partial-results path a governance
   // cutoff uses, instead of stalling on a link that refuses every transfer.
-  if (sharded && shards->HasDeadShards()) {
+  if (shards != nullptr && shards->HasDeadShards()) {
     const size_t before = files.size();
     files.erase(std::remove_if(files.begin(), files.end(),
                                [&](const std::string& uri) {
@@ -925,7 +847,7 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
       // Clean cancellation point between ingestion batches: nothing of the
       // aborted query survives except cache/quarantine entries already
       // committed, which are consistent on their own.
-      if (qctx != nullptr) DEX_RETURN_NOT_OK(qctx->CheckInterrupt());
+      DEX_RETURN_NOT_OK(qctx.CheckInterrupt());
       std::vector<PlanPtr> group(
           union_node->children.begin() + static_cast<long>(b * batch),
           union_node->children.begin() +
@@ -935,11 +857,9 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
       DEX_RETURN_NOT_OK(AnalyzePlan(sub, *catalog));
       obs::TraceSpan batch_span("ingest_batch", "query");
       batch_span.AddArg("batch", static_cast<uint64_t>(b + 1));
-      // Parallelism is per ingestion wave: each batch's mounts overlap, the
+      // Each batch is its own admission: its mounts overlap, and the
       // breakpoint between batches stays a clean barrier.
-      DEX_RETURN_NOT_OK(PremountUnion(sub, workers, priority, stats,
-                                      premounted.get(), qctx, &opts.pruning,
-                                      shards, num_shards));
+      DEX_RETURN_NOT_OK(admission.AdmitUnion(sub));
       DEX_ASSIGN_OR_RETURN(TablePtr part, ExecutePlan(sub, &ctx));
       if (profiler != nullptr) {
         profiler->AddRoot("stage 2 ingestion (batch " + std::to_string(b + 1) +
@@ -973,9 +893,7 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
     stage2_plan = splice(stage2_plan);
     DEX_RETURN_NOT_OK(AnalyzePlan(stage2_plan, *catalog));
   } else {
-    DEX_RETURN_NOT_OK(PremountUnion(union_node, workers, priority, stats,
-                                    premounted.get(), qctx, &opts.pruning,
-                                    shards, num_shards));
+    DEX_RETURN_NOT_OK(admission.AdmitUnion(union_node));
   }
   DEX_ASSIGN_OR_RETURN(TablePtr result, ExecutePlan(stage2_plan, &ctx));
   if (profiler != nullptr) profiler->AddRoot("stage 2", stage2_plan);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cache_manager.h"
@@ -41,13 +40,12 @@ struct TwoStageOptions {
   /// query overridable via QueryOptions::pruning.
   PruningOptions pruning;
 
-  /// Worker threads for stage-2 ingestion: the files of interest planned as
-  /// mounts are read/salvaged/decoded as parallel tasks before the union
-  /// scan. 0 = hardware concurrency; 1 = the exact legacy serial behavior
-  /// (mounts happen inline as the union's branches open). Simulated I/O time
-  /// stays deterministic for any value: per-task stall time is accumulated
-  /// separately and aggregated as a critical path over `num_threads` lanes,
-  /// independent of how the OS schedules the real threads.
+  /// Simulated lanes for stage-2 ingestion: the files of interest planned
+  /// as mounts are read/salvaged/decoded as tasks before the plan runs, and
+  /// an ungoverned wave is charged the critical path of its per-task stall
+  /// times list-scheduled over this many lanes (1 = their serial sum).
+  /// 0 = hardware concurrency. The charge never depends on how the OS
+  /// schedules the real threads.
   size_t num_threads = 0;
 
   /// What to do when a file of interest cannot be mounted cleanly: fail the
@@ -61,10 +59,10 @@ struct TwoStageOptions {
 
   // -- Resource governance --------------------------------------------------
   // When any of the three limits below is set, stage-2 mount admission is
-  // *governed*: mounts open inline in union-branch order and each admission
-  // is decided against the global simulated clock, so the cutoff — and the
-  // partial result — is bit-identical at any num_threads (at the price of no
-  // parallel mount overlap for that query). See DESIGN.md §8.8.
+  // *governed*: files are admitted one per window, in union-branch order,
+  // each against the query's own simulated timeline, so the cutoff — and
+  // the partial result — is bit-identical at any num_threads (at the price
+  // of no parallel mount overlap for that query). See DESIGN.md §8.8.
 
   /// Simulated-time deadline per query (0 = none): the query may charge this
   /// many nanoseconds to the SimDisk clock before admission stops /
@@ -110,13 +108,14 @@ struct TwoStageStats {
   size_t files_quarantined = 0;  // files of interest dropped as quarantined
 
   // -- Parallel ingestion -------------------------------------------------
-  size_t workers = 1;        // resolved worker-lane count for this execution
-  size_t mount_tasks = 0;    // mounts dispatched as parallel tasks
-  /// Simulated stall time charged for parallel mount waves: the critical
-  /// path (longest worker lane under deterministic list scheduling).
+  size_t workers = 1;        // resolved lane count (1 when governed)
+  size_t mount_tasks = 0;    // stage-2 mounts, each run as a task
+  /// Simulated stall time charged for the mount windows: each window's
+  /// critical path (longest lane under deterministic list scheduling, or
+  /// the slowest shard).
   uint64_t parallel_sim_nanos = 0;
-  /// What the same waves would have cost serially (sum over tasks) — the
-  /// parallel speedup in simulated time is serial/parallel.
+  /// What the same windows would have cost serially (sum over tasks and
+  /// links) — the parallel speedup in simulated time is serial/parallel.
   uint64_t serial_sim_nanos = 0;
 
   // -- Resource governance ------------------------------------------------
@@ -129,8 +128,9 @@ struct TwoStageStats {
   /// (0 when it never did).
   uint64_t cutoff_sim_nanos = 0;
   uint64_t cutoff_wall_nanos = 0;
-  /// High-water mark of the memory budget during this query (bytes), and
-  /// cache entries evicted under budget pressure to admit new mounts.
+  /// High-water mark of this query's own reservations for its mounted
+  /// partial tables (bytes; cache entries excluded), and cache entries
+  /// evicted under budget pressure to admit new mounts.
   uint64_t mem_reserved_peak = 0;
   uint64_t mem_budget_evictions = 0;
 
@@ -144,22 +144,15 @@ struct TwoStageStats {
   /// per-file gather responses, including deterministic resend backoff).
   uint64_t net_sim_nanos = 0;
   /// One row per shard that served this query's stage-2 mounts: its slice
-  /// of the ingestion and what its link cost. The sharded wave charges
-  /// max(disk_sim_nanos + net_sim_nanos) over these rows — each shard is
-  /// one serial storage node, so the critical path is the slowest shard,
-  /// not the slowest worker lane.
-  struct ShardRow {
-    int shard = 0;
-    size_t files = 0;
-    uint64_t disk_sim_nanos = 0;
-    uint64_t net_sim_nanos = 0;
-    uint64_t net_messages = 0;  // gather/scatter transfers on this link
-  };
+  /// of the ingestion and what its link cost, summed over the windows. Each
+  /// sharded window charges its slowest shard's disk + net time — each
+  /// shard is one serial storage node, so the critical path is the slowest
+  /// shard, not the slowest worker lane.
+  using ShardRow = ShardedRepository::ShardCost;
   std::vector<ShardRow> shard_rows;
 
   /// Everything the query's mounts did (counters + bounded warnings),
-  /// accumulated per query — inline mounts directly, parallel tasks merged
-  /// in task order at the wave barrier.
+  /// merged in branch order when each admission window commits.
   Mounter::MountOutcome mount;
 
   ExecStats exec;
@@ -172,28 +165,28 @@ struct TwoStageStats {
 /// The four physical steps of §3: compile-time optimization happened before
 /// (binder + predicate pushdown + SplitPlan); this class runs (1) the partial
 /// execution of Q_f, (2) the run-time query optimization phase (rewrite rule
-/// (1) plus options above), and (3) the second-stage execution with ALi —
-/// optionally ingesting the files of interest on a worker pool (see
-/// TwoStageOptions::num_threads).
+/// (1) plus options above), and (3) the second-stage execution with ALi,
+/// which admits and mounts the files of interest as tasks before the plan
+/// reads them (see TwoStageOptions::num_threads).
 class TwoStageExecutor {
  public:
-  /// Per-query execution environment, overriding the executor's defaults for
-  /// one Execute call. Under concurrent serving every query runs against its
-  /// own pinned catalog epoch with its own effective options (the session's
-  /// defaults merged with per-call overrides), so the executor's members —
-  /// shared across queries — must not carry per-query state.
+  /// Per-query execution environment for one Execute call. Under concurrent
+  /// serving every query runs against its own pinned catalog epoch with its
+  /// own effective options (the session's defaults merged with per-call
+  /// overrides), so the executor's members — shared across queries — must
+  /// not carry per-query state.
   struct QueryEnv {
-    /// The query's snapshot catalog (a pinned epoch); null = the executor's
-    /// default catalog. Must stay alive for the whole Execute call.
+    /// The query's snapshot catalog (a pinned epoch). Required; must stay
+    /// alive for the whole Execute call.
     Catalog* catalog = nullptr;
-    /// Effective options for this query; null = the executor's defaults.
+    /// Effective options for this query. Required.
     const TwoStageOptions* options = nullptr;
     /// Worker-pool priority class for this query's mount tasks.
     int priority = ThreadPool::kPriorityNormal;
     /// The sharded repository (null = unsharded database). With more than
     /// one effective shard, stage-2 ingestion runs scatter/gather: mounts
     /// route to their owning shard's node, gathers charge the interconnect,
-    /// and the wave costs max over shards instead of a worker-lane makespan.
+    /// and a window costs max over shards instead of a worker-lane makespan.
     ShardedRepository* shards = nullptr;
     /// Per-query shard count (0 = the repository's configured count; other
     /// values are clamped into [1, configured]).
@@ -227,14 +220,14 @@ class TwoStageExecutor {
   /// execution, after every ingestion batch) and may abort the query.
   /// `profiler`, when set (EXPLAIN ANALYZE), receives per-operator counters
   /// for every executed plan (stage 1, per-batch ingestion, stage 2).
-  /// `qctx`, when set, governs the execution: its cancel token is polled per
-  /// batch and between ingestion batches, its deadline/budget gate mount
-  /// admission (see TwoStageOptions' governance knobs). `env`, when set,
-  /// supplies the query's pinned catalog, effective options, and priority.
+  /// `qctx` governs the execution: its cancel token is polled per batch and
+  /// between ingestion batches, its deadline/budget gate mount admission
+  /// (see TwoStageOptions' governance knobs), and its budget holds the
+  /// query's reservations. `env` supplies the query's pinned catalog,
+  /// effective options, priority and shards.
   Result<TablePtr> Execute(const PlanPtr& plan, const BreakpointCallback& callback,
-                           TwoStageStats* stats, PlanProfiler* profiler = nullptr,
-                           QueryContext* qctx = nullptr,
-                           const QueryEnv* env = nullptr);
+                           TwoStageStats* stats, PlanProfiler* profiler,
+                           QueryContext& qctx, const QueryEnv& env);
 
   /// Distinct values of the stage-1 result's `uri` column — "the files of
   /// interest are identified, and collected as a list of file URIs".
@@ -264,16 +257,6 @@ class TwoStageExecutor {
   TwoStageOptions* mutable_options() { return &options_; }
 
  private:
-  /// A mount completed ahead of plan execution by a worker task, keyed by
-  /// URI. `predicate` is the exact fused-predicate instance the plan's mount
-  /// node carries — the mount_fn serves the premounted table only on pointer
-  /// match, falling back to a real mount otherwise.
-  struct PremountEntry {
-    ExprPtr predicate;
-    TablePtr table;
-  };
-  using PremountMap = std::unordered_map<std::string, PremountEntry>;
-
   Result<std::vector<FileDecision>> DecideFiles(
       const std::vector<std::string>& files, const ExprPtr& d_predicate,
       const TwoStageOptions& opts);
@@ -285,23 +268,6 @@ class TwoStageExecutor {
                                     const std::vector<FileDecision>& decisions,
                                     PlanPtr* union_node_out, Catalog* catalog,
                                     const TwoStageOptions& opts);
-
-  /// Mounts `union_node`'s kMount branches as parallel tasks on `workers`
-  /// lanes, filling `premounted` and accumulating counters/warnings and the
-  /// deterministic critical-path time into `stats`. No-op when the union has
-  /// fewer than two mounts (unsharded), and no-op for governed queries
-  /// (`qctx` with limits): governed admission is serialized for determinism.
-  ///
-  /// With `shards` non-null and `num_shards` > 1 the wave runs sharded
-  /// scatter/gather instead: it runs for *any* worker count and any number
-  /// of mounts (≥ 1), groups mounts by owning shard, performs the gather
-  /// transfers on the coordinator in shard/file order (deterministic fault
-  /// streams), and charges max over shards of (shard's serial mount time +
-  /// shard's net time) — worker-invariant by construction.
-  Status PremountUnion(const PlanPtr& union_node, size_t workers, int priority,
-                       TwoStageStats* stats, PremountMap* premounted,
-                       QueryContext* qctx, const PruningOptions* pruning,
-                       ShardedRepository* shards = nullptr, int num_shards = 1);
 
   /// The shared database-wide pool when one was injected, else a private
   /// cached pool (re)built to `workers` threads when needed.

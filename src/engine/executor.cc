@@ -175,9 +175,11 @@ class ScanOp : public TableSourceOp {
   ExecContext* ctx_;
 };
 
-/// ALi's mount access path: ingestion happens inside query execution, on
-/// first pull. The callback owns extraction/transformation; failures (e.g.
-/// the file vanished between stage 1 and stage 2) surface as query errors.
+/// ALi's mount access path: the table comes from the mount callback on
+/// Open. The callback owns extraction/transformation (the core library
+/// mounts a union's files before the plan runs and hands each table out
+/// here); failures (e.g. the file vanished between stage 1 and stage 2)
+/// surface as query errors.
 class MountOp : public TableSourceOp {
  public:
   MountOp(SchemaPtr schema, std::string table_name, std::string uri,
@@ -247,9 +249,10 @@ class CacheScanOp : public TableSourceOp {
       return Status::OK();
     }
     if (cached.status().IsNotFound() && ctx_->mount_fn) {
-      // The entry was evicted between the run-time rewrite and this branch's
-      // execution (e.g. this query's own mounts churned a small LRU cache).
-      // Fall back to mounting; any selection sits in the Filter above us.
+      // The entry went away between the run-time rewrite and this branch's
+      // execution (evicted, or spilled and refused reload). Mounting the
+      // whole file is a correct, slower substitute: any selection sits in
+      // the Filter above us.
       DEX_ASSIGN_OR_RETURN(table_, ctx_->mount_fn(table_name_, uri_, nullptr));
       ctx_->stats.files_mounted += 1;
       ctx_->stats.mounted_rows += table_->num_rows();
@@ -1419,7 +1422,8 @@ class UnionOp : public PhysOp {
       : PhysOp(std::move(schema)), children_(std::move(children)) {}
 
   Status Open() override {
-    // Children are opened lazily so mounts happen one file at a time.
+    // Children are opened lazily, one branch at a time. A mount branch's
+    // table was admitted before the plan ran; opening the branch takes it.
     return Status::OK();
   }
 

@@ -136,9 +136,9 @@ class QueryContext {
   }
 
   /// True when any deadline or a finite memory budget (shared or per-query)
-  /// is configured — i.e. stage-2 admission must be governed (and therefore
-  /// serialized, see DESIGN.md: governed queries trade parallel mount
-  /// speedup for a deterministic admission timeline).
+  /// is configured — i.e. stage-2 admission is governed: one file per
+  /// admission window, so the cutoff is deterministic at the price of
+  /// parallel mount overlap (DESIGN.md §8.8).
   bool has_limits() const {
     return has_deadline() || memory_->limit() != 0 || query_memory_limit_ != 0;
   }

@@ -19,7 +19,7 @@ struct SimSchedule {
 /// least-loaded lane. The result is a pure function of (task_nanos, lanes),
 /// independent of how the OS interleaved the real worker threads — which is
 /// what makes a parallel wave's simulated time reproducible. Shared by the
-/// stage-2 premount wave and the stage-1 metadata scan.
+/// stage-2 admission windows and the stage-1 metadata scan.
 inline SimSchedule ListScheduleSimTimes(const std::vector<uint64_t>& task_nanos,
                                         size_t lanes) {
   std::vector<uint64_t> lane(std::max<size_t>(1, lanes), 0);

@@ -5,6 +5,7 @@
 
 #include "common/fnv.h"
 #include "obs/flight_recorder.h"
+#include "obs/trace.h"
 
 namespace dex {
 
@@ -152,6 +153,48 @@ std::vector<ShardedRepository::SliceStats> ShardedRepository::StatusRows()
     rows.push_back(row);
   }
   return rows;
+}
+
+ShardedRepository::GatherCost ShardedRepository::ScatterGather(
+    const std::vector<GatherItem>& items) {
+  // Payload of one scatter request ("do these files"). Small and fixed: the
+  // request is dominated by the link latency, not its bytes.
+  constexpr uint64_t kRequestBytes = 256;
+  GatherCost cost;
+  cost.failures.assign(items.size(), Status::OK());
+  for (int s = 0; s < options_.num_shards; ++s) {
+    ShardCost row;
+    row.shard = s;
+    for (const GatherItem& item : items) {
+      if (item.shard != s) continue;
+      ++row.files;
+      row.disk_sim_nanos += item.disk_nanos;
+    }
+    if (row.files == 0) continue;
+    {
+      SimDisk::TaskTimeScope scope(&row.net_sim_nanos);
+      (void)network_->Transfer(LinkOf(s), kRequestBytes);
+      ++row.net_messages;
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (items[i].shard != s || !items[i].ships) continue;
+        Result<uint64_t> resp =
+            network_->Transfer(LinkOf(s), items[i].response_bytes);
+        ++row.net_messages;
+        if (!resp.ok()) cost.failures[i] = resp.status();
+      }
+    }
+    const uint64_t shard_nanos = row.disk_sim_nanos + row.net_sim_nanos;
+    cost.serial_nanos += shard_nanos;
+    cost.net_nanos += row.net_sim_nanos;
+    cost.critical_path_nanos = std::max(cost.critical_path_nanos, shard_nanos);
+    obs::Tracer::Instant("shard_gather", "shard",
+                         {{"shard", std::to_string(s)},
+                          {"files", std::to_string(row.files)},
+                          {"disk_nanos", std::to_string(row.disk_sim_nanos)},
+                          {"net_nanos", std::to_string(row.net_sim_nanos)}});
+    cost.shards.push_back(row);
+  }
+  return cost;
 }
 
 }  // namespace dex

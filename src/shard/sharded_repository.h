@@ -115,6 +115,47 @@ class ShardedRepository {
   /// One row per configured shard, for `.shards` and metrics publication.
   std::vector<SliceStats> StatusRows() const;
 
+  /// One file of a scatter/gather wave: the shard that owns it, the
+  /// simulated disk time that shard spent on it, and the response it ships
+  /// back to the coordinator (none when `ships` is false, e.g. a header
+  /// that did not parse).
+  struct GatherItem {
+    int shard = 0;
+    uint64_t disk_nanos = 0;
+    bool ships = true;
+    uint64_t response_bytes = 0;
+  };
+
+  /// One shard's slice of a scatter/gather wave: its files, its disk time
+  /// and what its link cost.
+  struct ShardCost {
+    int shard = 0;
+    size_t files = 0;
+    uint64_t disk_sim_nanos = 0;
+    uint64_t net_sim_nanos = 0;
+    uint64_t net_messages = 0;  // the request + one per shipped response
+  };
+
+  /// What a scatter/gather wave cost, per shard with work and in total.
+  struct GatherCost {
+    std::vector<ShardCost> shards;  // ascending shard id
+    std::vector<Status> failures;   // per item: its failed response, else OK
+    uint64_t serial_nanos = 0;      // Σ over shards of disk + net
+    uint64_t net_nanos = 0;         // Σ over shards of net
+    uint64_t critical_path_nanos = 0;  // the slowest shard's disk + net
+  };
+
+  /// The one scatter/gather cost model, shared by the stage-1 scan and the
+  /// stage-2 mount wave. Each shard is a storage node with one serial disk
+  /// behind its own link. Every shard with work gets one request; then each
+  /// shipped item's response crosses its shard's link, in shard-then-item
+  /// order, so the k-th transfer on a link is the same transfer in every
+  /// run and the seeded per-link fault streams replay bit-identically. The
+  /// transfers are bucketed per shard, never charged to the clock here: the
+  /// caller charges the returned total its own way. Call on the coordinator
+  /// thread, after the wave's disk work is done.
+  GatherCost ScatterGather(const std::vector<GatherItem>& items);
+
   /// The station key used by kStationRange: the parent-directory name of
   /// `uri`, or "" when the uri has no directory component.
   static std::string StationKeyOf(const std::string& uri);

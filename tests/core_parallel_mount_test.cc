@@ -69,16 +69,49 @@ TEST(ParallelMount, ResultsAreIdenticalAcrossThreadCounts) {
   EXPECT_EQ(parallel->registry()->num_quarantined(), 0u);
 }
 
-TEST(ParallelMount, SerialModeKeepsLegacyAccounting) {
-  ScopedRepo repo("pmount_legacy", SixtyFourFileRepo());
+TEST(ParallelMount, OneLaneRunsEveryMountAsATaskAtSerialCost) {
+  // One lane takes the same admission wave as many: every mount is a task,
+  // and the critical path over a single lane is the serial sum.
+  ScopedRepo repo("pmount_one_lane", SixtyFourFileRepo());
   auto db = OpenWithThreads(repo.root(), 1);
+  db->FlushBuffers();  // Open()'s scan left the files resident
   auto r = db->Query(kCountAll);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->stats.two_stage.workers, 1u);
-  EXPECT_EQ(r->stats.two_stage.mount_tasks, 0u);
-  EXPECT_EQ(r->stats.two_stage.parallel_sim_nanos, 0u);
-  EXPECT_EQ(r->stats.two_stage.serial_sim_nanos, 0u);
+  const TwoStageStats& ts = r->stats.two_stage;
+  EXPECT_EQ(ts.workers, 1u);
+  EXPECT_EQ(ts.mount_tasks, 64u);
+  EXPECT_GT(ts.serial_sim_nanos, 0u);
+  EXPECT_EQ(ts.parallel_sim_nanos, ts.serial_sim_nanos);
   EXPECT_EQ(r->stats.mount.mounts, 64u);
+}
+
+TEST(ParallelMount, CacheScanWhoseEntryIsGoneMountsAsAOneFileWindow) {
+  // A cache-scan whose entry vanished between planning and execution mounts
+  // its file through the query's admission, one file per window, so the
+  // mount is counted, charged and reserved like any other.
+  ScopedRepo repo("pmount_cache_gone", SixtyFourFileRepo());
+  DatabaseOptions opts;
+  opts.cache.policy = CachePolicy::kAll;
+  auto db = OpenWithThreads(repo.root(), 4, opts);
+  auto first = db->Query(kCountAll);  // mounts and caches every file
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  db->FlushBuffers();  // the fallback mounts face the medium cold
+
+  QueryOptions qopts;
+  qopts.breakpoint = [&db](const BreakpointInfo&) {
+    db->cache()->Clear();  // every planned cache-scan loses its entry
+    return BreakpointDecision::kContinue;
+  };
+  auto again = db->Query(kCountAll, qopts);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(CanonicalRows(*again->table), CanonicalRows(*first->table));
+  const TwoStageStats& ts = again->stats.two_stage;
+  EXPECT_EQ(ts.files_planned_cache, 64u);
+  EXPECT_EQ(again->stats.mount.mounts, 64u);
+  EXPECT_EQ(ts.mount_tasks, 64u);
+  EXPECT_GT(ts.serial_sim_nanos, 0u);
+  EXPECT_EQ(ts.parallel_sim_nanos, ts.serial_sim_nanos);
+  EXPECT_GT(ts.mem_reserved_peak, 0u);
 }
 
 TEST(ParallelMount, TransientFaultOutcomesMatchAcrossThreadCounts) {

@@ -401,6 +401,57 @@ TEST(RefreshTest, DeadlineYieldsDeterministicPartialRefresh) {
   EXPECT_EQ(DumpCatalog(a->get()), DumpCatalog(b->get()));
 }
 
+TEST(RefreshTest, GovernedShardedRefreshIsLaneInvariant) {
+  // A deadline-armed refresh on a sharded database admits one file per
+  // window, and each window pays the scatter/gather model: one request and
+  // one response per admitted file.
+  mseed::GeneratorOptions gen = TinyRepoOptions();
+  gen.num_stations = 4;  // 16 files
+  ScopedRepo repo("refresh_sharded_deadline", gen);
+
+  DatabaseOptions o1;
+  o1.shard.num_shards = 4;
+  o1.stage1_threads = 1;
+  DatabaseOptions o8 = o1;
+  o8.stage1_threads = 8;
+  auto a = Database::Open(repo.root(), o1);
+  auto b = Database::Open(repo.root(), o8);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+
+  auto files = ListFiles(repo.root(), ".mseed");
+  ASSERT_TRUE(files.ok());
+  for (const std::string& f : *files) BumpMtime(f, 60);
+  (*a)->FlushBuffers();
+  (*b)->FlushBuffers();
+
+  uint64_t full_sim = 0;
+  {
+    auto probe = Database::Open(repo.root(), o1);
+    ASSERT_TRUE(probe.ok());
+    full_sim = (*probe)->open_stats().sim_io_nanos;
+  }
+  ASSERT_GT(full_sim, 0u);
+
+  (*a)->set_sim_deadline_nanos(full_sim / 2);
+  (*b)->set_sim_deadline_nanos(full_sim / 2);
+  auto ra = (*a)->Refresh();
+  auto rb = (*b)->Refresh();
+  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+  EXPECT_TRUE(ra->is_partial);
+  EXPECT_GT(ra->files_scanned, 0u);
+  EXPECT_GT(ra->files_skipped_deadline, 0u);
+  EXPECT_EQ(ra->num_shards, 4u);
+  EXPECT_GT(ra->net_sim_nanos, 0u);
+  EXPECT_EQ(ra->workers, 1u);
+  EXPECT_EQ(rb->workers, 1u);
+  ExpectSameRefresh(*ra, *rb);
+  EXPECT_EQ(ra->net_sim_nanos, rb->net_sim_nanos);
+  EXPECT_EQ(ra->parallel_sim_nanos, rb->parallel_sim_nanos);
+  EXPECT_EQ(DumpCatalog(a->get()), DumpCatalog(b->get()));
+}
+
 // --- Snapshot isolation: Refresh publishes a new catalog epoch; queries run
 // --- against the epoch pinned at their submission.
 

@@ -254,6 +254,96 @@ TEST(ResourceGovernance, UngovernedQueriesKeepParallelPremount) {
   EXPECT_FALSE(r->stats.two_stage.is_partial);
 }
 
+TEST(ResourceGovernance, MemReservedPeakIsTheQuerysOwn) {
+  // The budget's high-water mark is database-wide and never resets; each
+  // query reports the peak of its own reservations instead.
+  ScopedRepo repo("govern_own_peak", SixtyFourFileRepo());
+  auto db = OpenWithThreads(repo.root(), 4);
+  auto big = db->Query(kCountAll);
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  const uint64_t big_peak = big->stats.two_stage.mem_reserved_peak;
+  ASSERT_GT(big_peak, 0u);
+
+  const std::string one_file =
+      std::string(kCountAll) + " WHERE F.uri = '" +
+      db->registry()->AllUris().front() + "'";
+  auto small = db->Query(one_file);
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_EQ(small->stats.mount.mounts, 1u);
+  EXPECT_GT(small->stats.two_stage.mem_reserved_peak, 0u);
+  EXPECT_LT(small->stats.two_stage.mem_reserved_peak, big_peak);
+
+  auto none = db->Query(std::string(kCountAll) +
+                        " WHERE F.station = 'NO_SUCH_STATION'");
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->stats.mount.mounts, 0u);
+  EXPECT_EQ(none->stats.two_stage.mem_reserved_peak, 0u);
+  EXPECT_EQ(db->memory_budget()->used(), 0u);
+}
+
+/// Everything a sharded governed run must reproduce at any lane count.
+std::string ShardedGovernedSignature(const QueryResult& r) {
+  const TwoStageStats& ts = r.stats.two_stage;
+  std::string sig;
+  for (const std::string& row : CanonicalRows(*r.table)) sig += row + "\n";
+  sig += "mounts=" + std::to_string(r.stats.mount.mounts) +
+         " skipped_deadline=" + std::to_string(ts.files_skipped_deadline) +
+         " skipped_memory=" + std::to_string(ts.files_skipped_memory) +
+         " cutoff=" + std::to_string(ts.cutoff_sim_nanos) +
+         " sim_io=" + std::to_string(r.stats.sim_io_nanos) +
+         " net=" + std::to_string(ts.net_sim_nanos) +
+         " workers=" + std::to_string(ts.workers) + "\n";
+  for (const TwoStageStats::ShardRow& row : ts.shard_rows) {
+    sig += "shard " + std::to_string(row.shard) + ": " +
+           std::to_string(row.files) + " files, " +
+           std::to_string(row.disk_sim_nanos) + " disk, " +
+           std::to_string(row.net_sim_nanos) + " net, " +
+           std::to_string(row.net_messages) + " messages\n";
+  }
+  return sig;
+}
+
+TEST(ResourceGovernance, ShardedPartialResultIsDeterministicAcrossLanes) {
+  ScopedRepo repo("govern_sharded", SixtyFourFileRepo());
+  DatabaseOptions sharded;
+  sharded.shard.num_shards = 4;
+  uint64_t full_sim = 0;
+  uint64_t peak = 0;
+  {
+    auto db = OpenWithThreads(repo.root(), 1, sharded);
+    db->FlushBuffers();
+    auto r = db->Query(kPerStation);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    full_sim = r->stats.sim_io_nanos;
+    peak = r->stats.two_stage.mem_reserved_peak;
+  }
+  ASSERT_GT(full_sim, 0u);
+  ASSERT_GT(peak, 0u);
+
+  DatabaseOptions deadline = sharded;
+  deadline.two_stage.sim_deadline_nanos = full_sim / 2;
+  DatabaseOptions budget = sharded;
+  budget.two_stage.memory_budget_bytes = peak / 2;
+  for (const DatabaseOptions& limits : {deadline, budget}) {
+    std::vector<std::string> signatures;
+    for (size_t lanes : {1u, 4u, 8u}) {
+      auto db = OpenWithThreads(repo.root(), lanes, limits);
+      db->FlushBuffers();
+      auto r = db->Query(kPerStation);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const TwoStageStats& ts = r->stats.two_stage;
+      EXPECT_TRUE(ts.is_partial) << "lanes=" << lanes;
+      EXPECT_GT(ts.files_skipped_deadline + ts.files_skipped_memory, 0u);
+      EXPECT_GT(r->stats.mount.mounts, 0u);
+      EXPECT_GT(ts.net_sim_nanos, 0u);
+      EXPECT_FALSE(ts.shard_rows.empty());
+      signatures.push_back(ShardedGovernedSignature(*r));
+    }
+    EXPECT_EQ(signatures[0], signatures[1]);
+    EXPECT_EQ(signatures[0], signatures[2]);
+  }
+}
+
 // -- MemoryBudget edge cases ------------------------------------------------
 
 TEST(MemoryBudget, ReserveAtExactLimitSucceedsAndNextByteFails) {

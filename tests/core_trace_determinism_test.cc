@@ -94,7 +94,7 @@ TEST_F(TraceDeterminismTest, SimTimeStaysDeterministicAcrossRunsWhileTraced) {
       << "8 workers should beat the serial critical path on 8 uniform files";
 }
 
-TEST_F(TraceDeterminismTest, GoldenLifecycleSpanSequenceAtOneWorker) {
+TEST_F(TraceDeterminismTest, GoldenLifecycleRunsEachMountInATaskAtOneLane) {
   ScopedRepo repo("trace_golden", TinyRepoOptions());
   DatabaseOptions options;
   options.two_stage.num_threads = 1;
@@ -113,12 +113,16 @@ TEST_F(TraceDeterminismTest, GoldenLifecycleSpanSequenceAtOneWorker) {
   for (const std::string& line : LifecycleSignature(spans)) {
     names.push_back(line.substr(0, line.find(':')));
   }
-  // The golden single-worker lifecycle: the query umbrella, the three
-  // planning phases, then one inline mount per file (8 files) inside
-  // stage 2. Drain order is open order, so the umbrella sorts first.
-  const std::vector<std::string> expected = {
-      "query", "parse_bind", "optimize", "stage1", "rewrite", "stage2",
-      "mount", "mount", "mount", "mount", "mount", "mount", "mount", "mount"};
+  // The golden single-lane lifecycle: the query umbrella, the three
+  // planning phases, then stage 2, which admits every file (8 files) as a
+  // mount task wrapping its mount. Drain order is open order, so the
+  // umbrella sorts first.
+  std::vector<std::string> expected = {"query",   "parse_bind", "optimize",
+                                       "stage1",  "rewrite",    "stage2"};
+  for (int file = 0; file < 8; ++file) {
+    expected.push_back("mount_task");
+    expected.push_back("mount");
+  }
   EXPECT_EQ(names, expected);
 
   // Every mount span names its file, and stage-1/rewrite/stage-2 spans are

@@ -315,6 +315,54 @@ TEST(ShardedExecution, DeadShardYieldsDeterministicPartialResult) {
   EXPECT_EQ(healed->table->num_rows(), 4u);
 }
 
+TEST(ShardedExecution, FailedGatherDegradesTheSameGovernedOrNot) {
+  // A shard that dies after planning fails the gather of every file it
+  // mounted. Whether or not the query is governed, those files are
+  // quarantined and serve no rows: a budget that never binds cannot change
+  // the answer.
+  mseed::GeneratorOptions gen = TinyRepoOptions();
+  gen.num_stations = 4;  // 16 files
+  ScopedRepo repo("shard_gather_fail", gen);
+
+  struct Run {
+    std::vector<std::string> rows;
+    std::vector<std::string> quarantined;
+    std::vector<std::string> warnings;
+  };
+  auto run = [&](uint64_t budget_bytes) {
+    DatabaseOptions opts;
+    opts.shard.num_shards = 4;
+    opts.two_stage.memory_budget_bytes = budget_bytes;
+    auto db = Database::Open(repo.root(), opts);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    Run out;
+    if (!db.ok()) return out;
+    QueryOptions qopts;
+    qopts.breakpoint = [&db](const BreakpointInfo&) {
+      EXPECT_TRUE((*db)->shards()->KillShard(1).ok());
+      return BreakpointDecision::kContinue;
+    };
+    auto r = (*db)->Query(kPerStation, qopts);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return out;
+    out.rows = CanonicalRows(*r->table);
+    out.warnings = r->stats.warnings;
+    auto q = (*db)->Query("SELECT QUARANTINE.uri FROM QUARANTINE");
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    if (q.ok()) out.quarantined = CanonicalRows(*q->table);
+    return out;
+  };
+
+  const Run ungoverned = run(0);
+  const Run governed = run(uint64_t{1} << 40);
+  ASSERT_FALSE(ungoverned.rows.empty());
+  EXPECT_FALSE(ungoverned.quarantined.empty());
+  EXPECT_EQ(ungoverned.warnings.size(), ungoverned.quarantined.size());
+  EXPECT_EQ(ungoverned.rows, governed.rows);
+  EXPECT_EQ(ungoverned.quarantined, governed.quarantined);
+  EXPECT_EQ(ungoverned.warnings, governed.warnings);
+}
+
 TEST(ShardedExecution, RefreshRunsShardedAndSeesNewFiles) {
   ScopedRepo repo("shard_refresh", TinyRepoOptions());
   DatabaseOptions opts;
