@@ -96,7 +96,7 @@ RunRow RunOnce(const std::string& dir, int shards, size_t workers,
   // critical path *is* what the single node charged.
   const uint64_t stage2 =
       ts.parallel_sim_nanos > 0 ? ts.parallel_sim_nanos : t.stats.sim_io_nanos;
-  row.critical_path_nanos = open.scan_parallel_sim_nanos + stage2;
+  row.critical_path_nanos = open.parallel_sim_nanos + stage2;
 
   // Re-run for the result hash (cached second run — same table either way).
   auto r = db->Query(kScatterQuery);

@@ -22,9 +22,12 @@
 //   .explain <sql>     compile-time plans + the Q_f/Q_s decomposition
 //   .explain analyze <sql>  execute and annotate every operator with
 //                      measured rows / batches / wall time
-//   .stats             statistics of the last query (incl. fault counters)
+//   .stats             statistics of the last query: the text EXPLAIN
+//                      ANALYZE ends with (its first line follows every
+//                      query)
 //   .metrics           dump the process-wide metrics registry
-//   .open              open/ingestion statistics
+//   .open              open/ingestion statistics (and files its scan
+//                      quarantined)
 //   .cache             cache contents summary (+ durable-tier persist/
 //                      recovery counters when --cache-dir is set)
 //   .coverage          derive GAPS/OVERLAPS from record metadata
@@ -85,88 +88,6 @@
 #include "obs/trace.h"
 
 namespace {
-
-void PrintQueryStats(const dex::QueryStats& stats, bool verbose) {
-  const auto& ts = stats.two_stage;
-  const auto& mc = stats.mount;
-  std::printf("-- %llu row(s) in %.4fs",
-              static_cast<unsigned long long>(stats.result_rows),
-              stats.TotalSeconds());
-  if (ts.stage1_only) {
-    std::printf(" [metadata only]");
-  } else if (ts.split) {
-    std::printf(" [stage1 %.4fs | stage2 %.4fs | %zu files of interest, "
-                "%llu mounted, %zu cached, %zu pruned]",
-                ts.stage1_nanos / 1e9, ts.stage2_nanos / 1e9,
-                ts.files_of_interest,
-                static_cast<unsigned long long>(mc.mounts),
-                ts.files_planned_cache, ts.files_pruned);
-  }
-  if (stats.sim_io_nanos > 0) {
-    std::printf(" [sim-I/O %.4fs]", stats.sim_io_nanos / 1e9);
-  }
-  if (mc.records_skipped_zonemap > 0 || mc.frames_skipped_zonemap > 0 ||
-      mc.zonemap_fallbacks > 0) {
-    std::printf(" [zonemap: %llu records, %llu frames skipped, %llu fallbacks]",
-                static_cast<unsigned long long>(mc.records_skipped_zonemap),
-                static_cast<unsigned long long>(mc.frames_skipped_zonemap),
-                static_cast<unsigned long long>(mc.zonemap_fallbacks));
-  }
-  if (ts.workers > 1 && ts.mount_tasks > 0) {
-    std::printf(" [%zu mount tasks on %zu workers, sim speedup %.2fx]",
-                ts.mount_tasks, ts.workers,
-                ts.parallel_sim_nanos > 0
-                    ? static_cast<double>(ts.serial_sim_nanos) /
-                          static_cast<double>(ts.parallel_sim_nanos)
-                    : 1.0);
-  }
-  if (ts.num_shards > 1) {
-    std::printf(" [%zu shards, net %.4fs sim]", ts.num_shards,
-                ts.net_sim_nanos / 1e9);
-  }
-  if (ts.is_partial) {
-    std::printf(" [PARTIAL: %zu skipped by deadline, %zu by memory, "
-                "%zu on dead shards, cutoff at %.4fs sim]",
-                ts.files_skipped_deadline, ts.files_skipped_memory,
-                ts.files_skipped_shard, ts.cutoff_sim_nanos / 1e9);
-  }
-  const bool any_faults = mc.read_retries > 0 || mc.records_salvaged > 0 ||
-                          mc.files_failed > 0 || mc.files_skipped > 0 ||
-                          mc.records_skipped > 0;
-  if (verbose || any_faults) {
-    std::printf("\n   faults: %llu read retries, %llu records salvaged "
-                "(%llu skipped), %llu files failed, %llu files skipped",
-                static_cast<unsigned long long>(mc.read_retries),
-                static_cast<unsigned long long>(mc.records_salvaged),
-                static_cast<unsigned long long>(mc.records_skipped),
-                static_cast<unsigned long long>(mc.files_failed),
-                static_cast<unsigned long long>(mc.files_skipped));
-  }
-  std::printf("\n");
-  if (verbose) {
-    const auto& ex = ts.exec;
-    if (ex.kernel_filter_batches > 0 || ex.kernel_agg_batches > 0 ||
-        ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0 ||
-        ex.kernel_join_batches > 0 || ex.scalar_join_batches > 0 ||
-        ex.range_skipped_rows > 0) {
-      std::printf("   kernels: filter %llu vec / %llu scalar, "
-                  "join %llu run-keyed / %llu row, "
-                  "agg %llu vec / %llu scalar, %llu compactions, "
-                  "%llu rows skipped by time range\n",
-                  static_cast<unsigned long long>(ex.kernel_filter_batches),
-                  static_cast<unsigned long long>(ex.scalar_filter_batches),
-                  static_cast<unsigned long long>(ex.kernel_join_batches),
-                  static_cast<unsigned long long>(ex.scalar_join_batches),
-                  static_cast<unsigned long long>(ex.kernel_agg_batches),
-                  static_cast<unsigned long long>(ex.scalar_agg_batches),
-                  static_cast<unsigned long long>(ex.selection_compactions),
-                  static_cast<unsigned long long>(ex.range_skipped_rows));
-    }
-    for (const std::string& w : stats.warnings) {
-      std::printf("   warning: %s\n", w.c_str());
-    }
-  }
-}
 
 int Usage() {
   std::fprintf(stderr,
@@ -381,16 +302,20 @@ int main(int argc, char** argv) {
                                         : text.status().ToString().c_str());
         }
       } else if (cmd == ".stats") {
-        PrintQueryStats(last_stats, /*verbose=*/true);
+        std::printf("%s", last_stats.ToString().c_str());
       } else if (cmd == ".metrics") {
         std::printf("%s", dex::obs::MetricsRegistry::Global().ToText().c_str());
       } else if (cmd == ".open") {
         std::printf("files=%zu records=%zu metadata=%s repo=%s open=%.3fs "
-                    "(snapshot reused %zu)\n",
+                    "(snapshot reused %zu",
                     open.num_files, open.num_records,
                     dex::FormatBytes(open.metadata_bytes).c_str(),
                     dex::FormatBytes(open.repo_bytes).c_str(),
-                    open.TotalSeconds(), open.snapshot_files_reused);
+                    open.TotalSeconds(), open.files_reused);
+        if (open.files_quarantined > 0) {
+          std::printf(", %zu quarantined", open.files_quarantined);
+        }
+        std::printf(")\n%s", open.RenderWarnings("   ").c_str());
       } else if (cmd == ".cache") {
         const auto& cs = db->cache()->stats();
         std::printf("entries=%zu bytes=%s hits=%llu misses=%llu "
@@ -453,10 +378,7 @@ int main(int argc, char** argv) {
                         "shards]",
                         r->files_skipped_deadline, r->files_skipped_shard);
           }
-          std::printf("\n");
-          for (const std::string& w : r->warnings) {
-            std::printf("   warning: %s\n", w.c_str());
-          }
+          std::printf("\n%s", r->RenderWarnings("   ").c_str());
         } else {
           std::printf("%s\n", r.status().ToString().c_str());
         }
@@ -587,7 +509,8 @@ int main(int argc, char** argv) {
     }
     std::printf("%s", result->table->ToString(40).c_str());
     last_stats = result->stats;
-    PrintQueryStats(last_stats, /*verbose=*/false);
+    const std::string stats_text = last_stats.ToString();
+    std::printf("%s", stats_text.substr(0, stats_text.find('\n') + 1).c_str());
   }
   std::printf("\n");
   if (!trace_path.empty()) {

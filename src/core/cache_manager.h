@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "common/result.h"
+#include "common/stat_fields.h"
 #include "core/persistent_cache.h"
 #include "exec/query_context.h"
 #include "storage/table.h"
@@ -60,6 +61,23 @@ struct CacheStats {
   uint64_t reload_failures = 0;  // stub reload refused (corrupt or no budget)
   uint64_t persisted = 0;        // entries written through to the durable tier
   uint64_t persist_failures = 0;
+
+  /// Every counter with its metric name (common/stat_fields.h).
+  static constexpr auto Fields() {
+    using S = CacheStats;
+    return std::tuple{
+        StatField{"cache.hits", &S::hits},
+        StatField{"cache.misses", &S::misses},
+        StatField{"cache.insertions", &S::insertions},
+        StatField{"cache.evictions", &S::evictions},
+        StatField{"cache.invalidations", &S::invalidations},
+        StatField{"cache.budget_rejections", &S::budget_rejections},
+        StatField{"cache.spills", &S::spills},
+        StatField{"cache.reloads", &S::reloads},
+        StatField{"cache.reload_failures", &S::reload_failures},
+        StatField{"cache.persisted", &S::persisted},
+        StatField{"cache.persist_failures", &S::persist_failures}};
+  }
 };
 
 /// \brief Keeps ingested file data between queries, keyed by URI.

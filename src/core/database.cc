@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
 
 #include "common/logging.h"
@@ -28,10 +29,6 @@ uint64_t NowNanos() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-// Warnings copied into each QueryStats are bounded so a query over a rotten
-// repository cannot bloat its own result.
-constexpr size_t kMaxQueryWarnings = 32;
 
 /// Case-insensitively consumes leading whitespace plus `kw` at *pos; the
 /// keyword must end at a word boundary. Advances *pos past it on match.
@@ -80,6 +77,19 @@ Result<TablePtr> PlanTextTable(const std::string& text) {
   DEX_RETURN_NOT_OK(table->CommitAppendedRows(rows));
   return table;
 }
+
+/// Appends printf-formatted text to `out`.
+__attribute__((format(printf, 2, 3))) void Appendf(std::string* out,
+                                                   const char* fmt, ...) {
+  char buf[256];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  *out += buf;
+}
+
+using ull = unsigned long long;
 
 /// Forces span tracing on for one query, restoring the previous state.
 class ScopedTrace {
@@ -218,35 +228,23 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
   sopts.on_error = options.two_stage.on_mount_error;
   sopts.retry = options.two_stage.retry;
   sopts.shards = db->shards_.get();
-  Stage1Stats sstats;
   DEX_ASSIGN_OR_RETURN(
       mseed::ScanResult scan,
       db->stage1_->Scan(repo_root, have_baseline ? &baseline : nullptr, sopts,
-                        &sstats));
+                        &db->open_stats_));
   if (!options.metadata_snapshot_path.empty()) {
     DEX_RETURN_NOT_OK(SaveSnapshot(scan, options.metadata_snapshot_path));
   }
   db->open_stats_.metadata_scan_nanos = NowNanos() - t0;
-  db->open_stats_.snapshot_files_reused = sstats.files_reused;
-  db->open_stats_.scan_workers = sstats.workers;
-  db->open_stats_.scan_serial_sim_nanos = sstats.serial_sim_nanos;
-  db->open_stats_.scan_parallel_sim_nanos = sstats.parallel_sim_nanos;
-  db->open_stats_.num_shards = sstats.num_shards;
-  db->open_stats_.scan_net_sim_nanos = sstats.net_sim_nanos;
+  db->open_stats_.snapshot_files_reused = db->open_stats_.files_reused;
   db->open_stats_.repo_bytes = scan.total_bytes;
   db->open_stats_.num_files = scan.files.size();
   db->open_stats_.num_records = scan.records.size();
 
   if (options.mode == IngestionMode::kEager) {
-    DEX_ASSIGN_OR_RETURN(
-        EagerLoadStats load,
-        EagerLoader::LoadAll(scan, catalog.get(), db->registry_.get(),
-                             db->format_.get(), options.build_indexes));
-    db->open_stats_.load_nanos = load.load_nanos;
-    db->open_stats_.index_nanos = load.index_nanos;
-    db->open_stats_.db_bytes = load.db_bytes;
-    db->open_stats_.index_bytes = load.index_bytes;
-    db->open_stats_.num_data_rows = load.rows_loaded;
+    DEX_RETURN_NOT_OK(EagerLoader::LoadAll(
+        scan, catalog.get(), db->registry_.get(), db->format_.get(),
+        options.build_indexes, &db->open_stats_));
   } else {
     // ALi: load only metadata; D exists but stays empty.
     DEX_ASSIGN_OR_RETURN(TablePtr f_table, BuildFileTable(scan));
@@ -441,6 +439,7 @@ Result<QueryResult> Database::RunQuery(const std::string& sql,
       env.priority = options.priority;
       env.shards = shards_.get();
       env.num_shards = options.num_shards.value_or(0);
+      env.warnings = &out.stats;
       DEX_ASSIGN_OR_RETURN(
           out.table,
           two_stage_->Execute(plan, options.breakpoint, &out.stats.two_stage,
@@ -453,22 +452,7 @@ Result<QueryResult> Database::RunQuery(const std::string& sql,
   query_span.AddArg("result_rows", out.stats.result_rows);
   query_span.AddArg("sim_io_nanos", out.stats.sim_io_nanos);
 
-  // Mount work is accounted per query by the two-stage executor (inline
-  // mounts and parallel mount tasks alike), so no singleton counter diffing
-  // — concurrent tasks and interleaved queries each see their own numbers.
-  const Mounter::MountOutcome& outcome = out.stats.two_stage.mount;
-  out.stats.mount = outcome.counters;
-
-  // This query's warnings, bounded.
-  const size_t copied = std::min(outcome.warnings.size(), kMaxQueryWarnings);
-  out.stats.warnings.assign(outcome.warnings.begin(),
-                            outcome.warnings.begin() + copied);
-  const uint64_t dropped =
-      outcome.warnings_dropped + (outcome.warnings.size() - copied);
-  if (dropped > 0) {
-    out.stats.warnings.push_back("(" + std::to_string(dropped) +
-                                 " more warnings dropped)");
-  }
+  out.stats.mount = out.stats.two_stage.mount.counters;
 
   // Quarantines that happened while mounting become visible immediately
   // (to queries pinning after this publish; our own snapshot is unchanged).
@@ -495,87 +479,107 @@ Result<QueryResult> Database::RunQuery(const std::string& sql,
   return out;
 }
 
+std::string QueryStats::ToString() const {
+  const TwoStageStats& ts = two_stage;
+  const Mounter::MountCounters& mc = ts.mount.counters;
+  const ExecStats& ex = ts.exec;
+  std::string out;
+  Appendf(&out, "result rows: %llu in %.4fs", static_cast<ull>(result_rows),
+          TotalSeconds());
+  if (ts.stage1_only) {
+    out += " [metadata only]";
+  } else if (ts.split) {
+    Appendf(&out,
+            " [stage1 %.4fs | stage2 %.4fs | %zu files of interest, "
+            "%llu mounted, %zu cached, %zu pruned]",
+            ts.stage1_nanos / 1e9, ts.stage2_nanos / 1e9, ts.files_of_interest,
+            static_cast<ull>(mc.mounts), ts.files_planned_cache,
+            ts.files_pruned);
+  }
+  if (sim_io_nanos > 0) Appendf(&out, " [sim-I/O %.4fs]", sim_io_nanos / 1e9);
+  if (ts.is_partial) out += " [PARTIAL]";
+  if (warnings_raised() > 0) {
+    Appendf(&out, " [%llu warnings]", static_cast<ull>(warnings_raised()));
+  }
+  out += '\n';
+
+  Appendf(&out, "plan %.3fms, exec %.3fms, simulated I/O %.3fms\n",
+          plan_nanos / 1e6, exec_nanos / 1e6, sim_io_nanos / 1e6);
+  if (ts.mount_tasks > 0) {
+    Appendf(&out, "%zu mount tasks on %zu workers, sim speedup %.2fx\n",
+            ts.mount_tasks, ts.workers,
+            ts.parallel_sim_nanos > 0
+                ? static_cast<double>(ts.serial_sim_nanos) /
+                      static_cast<double>(ts.parallel_sim_nanos)
+                : 1.0);
+  }
+  if (mc.records_skipped_zonemap > 0 || mc.frames_skipped_zonemap > 0 ||
+      mc.zonemap_fallbacks > 0) {
+    Appendf(&out,
+            "zone maps: %llu records skipped, %llu frames skipped "
+            "(%llu decoded), %llu fallbacks\n",
+            static_cast<ull>(mc.records_skipped_zonemap),
+            static_cast<ull>(mc.frames_skipped_zonemap),
+            static_cast<ull>(mc.frames_decoded_zonemap),
+            static_cast<ull>(mc.zonemap_fallbacks));
+  }
+  if (ex.kernel_filter_batches > 0 || ex.kernel_agg_batches > 0 ||
+      ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0 ||
+      ex.kernel_join_batches > 0 || ex.scalar_join_batches > 0 ||
+      ex.range_skipped_rows > 0) {
+    Appendf(&out,
+            "kernels: filter %llu vectorized / %llu scalar, "
+            "join %llu run-keyed / %llu row, "
+            "agg %llu vectorized / %llu scalar, %llu compactions, "
+            "%llu rows skipped by time range\n",
+            static_cast<ull>(ex.kernel_filter_batches),
+            static_cast<ull>(ex.scalar_filter_batches),
+            static_cast<ull>(ex.kernel_join_batches),
+            static_cast<ull>(ex.scalar_join_batches),
+            static_cast<ull>(ex.kernel_agg_batches),
+            static_cast<ull>(ex.scalar_agg_batches),
+            static_cast<ull>(ex.selection_compactions),
+            static_cast<ull>(ex.range_skipped_rows));
+  }
+  Appendf(&out,
+          "faults: %llu read retries, %llu records salvaged (%llu "
+          "skipped), %llu files failed, %llu files skipped\n",
+          static_cast<ull>(mc.read_retries),
+          static_cast<ull>(mc.records_salvaged),
+          static_cast<ull>(mc.records_skipped),
+          static_cast<ull>(mc.files_failed),
+          static_cast<ull>(mc.files_skipped));
+  if (ts.is_partial) {
+    Appendf(&out,
+            "partial result: %llu files mounted, %zu skipped by deadline, "
+            "%zu skipped by memory, %zu skipped on dead shards\n",
+            static_cast<ull>(mc.mounts), ts.files_skipped_deadline,
+            ts.files_skipped_memory, ts.files_skipped_shard);
+    Appendf(&out, "cutoff at %.3fms simulated, %.3fms wall\n",
+            ts.cutoff_sim_nanos / 1e6, ts.cutoff_wall_nanos / 1e6);
+  }
+  if (ts.num_shards > 1) {
+    Appendf(&out, "shards: %zu, interconnect %.3fms simulated\n",
+            ts.num_shards, ts.net_sim_nanos / 1e6);
+    for (const TwoStageStats::ShardRow& row : ts.shard_rows) {
+      Appendf(&out,
+              "  shard %d: %zu files, disk %.3fms, net %.3fms, "
+              "%llu messages\n",
+              row.shard, row.files, row.disk_sim_nanos / 1e6,
+              row.net_sim_nanos / 1e6, static_cast<ull>(row.net_messages));
+    }
+  }
+  return out + RenderWarnings("");
+}
+
 Result<QueryResult> Database::RunExplainAnalyze(const std::string& sql,
                                                 const QueryOptions& options,
                                                 EpochPtr epoch) {
   PlanProfiler profiler;
   DEX_ASSIGN_OR_RETURN(QueryResult out,
                        RunQuery(sql, options, std::move(epoch), &profiler));
-  std::string text = profiler.Render();
-  text += "-- execution --\n";
-  text += "result rows: " + std::to_string(out.stats.result_rows) + "\n";
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "plan %.3fms, exec %.3fms, simulated I/O %.3fms",
-                static_cast<double>(out.stats.plan_nanos) / 1e6,
-                static_cast<double>(out.stats.exec_nanos) / 1e6,
-                static_cast<double>(out.stats.sim_io_nanos) / 1e6);
-  text += line;
-  const TwoStageStats& ts = out.stats.two_stage;
-  const Mounter::MountCounters& mc = ts.mount.counters;
-  if (mc.records_skipped_zonemap > 0 || mc.frames_skipped_zonemap > 0 ||
-      mc.zonemap_fallbacks > 0) {
-    std::snprintf(line, sizeof(line),
-                  "\nzone maps: %llu records skipped, %llu frames skipped "
-                  "(%llu decoded), %llu fallbacks",
-                  static_cast<unsigned long long>(mc.records_skipped_zonemap),
-                  static_cast<unsigned long long>(mc.frames_skipped_zonemap),
-                  static_cast<unsigned long long>(mc.frames_decoded_zonemap),
-                  static_cast<unsigned long long>(mc.zonemap_fallbacks));
-    text += line;
-  }
-  const ExecStats& ex = ts.exec;
-  if (ex.kernel_filter_batches > 0 || ex.kernel_agg_batches > 0 ||
-      ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0 ||
-      ex.kernel_join_batches > 0 || ex.scalar_join_batches > 0 ||
-      ex.range_skipped_rows > 0) {
-    std::snprintf(line, sizeof(line),
-                  "\nkernels: filter %llu vectorized / %llu scalar, "
-                  "join %llu run-keyed / %llu row, "
-                  "agg %llu vectorized / %llu scalar, %llu compactions, "
-                  "%llu rows skipped by time range",
-                  static_cast<unsigned long long>(ex.kernel_filter_batches),
-                  static_cast<unsigned long long>(ex.scalar_filter_batches),
-                  static_cast<unsigned long long>(ex.kernel_join_batches),
-                  static_cast<unsigned long long>(ex.scalar_join_batches),
-                  static_cast<unsigned long long>(ex.kernel_agg_batches),
-                  static_cast<unsigned long long>(ex.scalar_agg_batches),
-                  static_cast<unsigned long long>(ex.selection_compactions),
-                  static_cast<unsigned long long>(ex.range_skipped_rows));
-    text += line;
-  }
-  if (ts.is_partial) {
-    std::snprintf(
-        line, sizeof(line),
-        "\npartial result: %llu files mounted, %zu skipped by deadline, "
-        "%zu skipped by memory, %zu skipped on dead shards",
-        static_cast<unsigned long long>(ts.mount.counters.mounts),
-        ts.files_skipped_deadline, ts.files_skipped_memory,
-        ts.files_skipped_shard);
-    text += line;
-    std::snprintf(line, sizeof(line),
-                  "\ncutoff at %.3fms simulated, %.3fms wall",
-                  static_cast<double>(ts.cutoff_sim_nanos) / 1e6,
-                  static_cast<double>(ts.cutoff_wall_nanos) / 1e6);
-    text += line;
-  }
-  if (ts.num_shards > 1) {
-    std::snprintf(line, sizeof(line),
-                  "\nshards: %zu, interconnect %.3fms simulated",
-                  ts.num_shards,
-                  static_cast<double>(ts.net_sim_nanos) / 1e6);
-    text += line;
-    for (const TwoStageStats::ShardRow& row : ts.shard_rows) {
-      std::snprintf(line, sizeof(line),
-                    "\n  shard %d: %zu files, disk %.3fms, net %.3fms, "
-                    "%llu messages",
-                    row.shard, row.files,
-                    static_cast<double>(row.disk_sim_nanos) / 1e6,
-                    static_cast<double>(row.net_sim_nanos) / 1e6,
-                    static_cast<unsigned long long>(row.net_messages));
-      text += line;
-    }
-  }
+  const std::string text =
+      profiler.Render() + "-- execution --\n" + out.stats.ToString();
   DEX_ASSIGN_OR_RETURN(out.table, PlanTextTable(text));
   return out;
 }
@@ -673,43 +677,20 @@ Result<RefreshStats> Database::Refresh() {
   sopts.priority = ThreadPool::kPriorityBackground;
   QueryContext qctx({ts.sim_deadline_nanos, ts.wall_deadline_nanos},
                     memory_budget_.get(), nullptr);
-  Stage1Stats sstats;
   mseed::ScanResult scan;
-  uint64_t refresh_sim_nanos = 0;
   {
     // The refresh's charges get their own tee, like a query's: reported
     // sim_io_nanos (and a deadline, when armed) measure this refresh alone.
-    SimDisk::QueryTimeScope qscope(&refresh_sim_nanos);
+    SimDisk::QueryTimeScope qscope(&stats.sim_io_nanos);
     if (ts.sim_deadline_nanos != 0 || ts.wall_deadline_nanos != 0) {
       qctx.Start(disk_->stats().sim_nanos);
-      qctx.AttachSimCounter(&refresh_sim_nanos);
+      qctx.AttachSimCounter(&stats.sim_io_nanos);
       sopts.qctx = &qctx;
     }
     DEX_ASSIGN_OR_RETURN(scan,
-                         stage1_->Scan(repo_root_, &baseline, sopts, &sstats));
+                         stage1_->Scan(repo_root_, &baseline, sopts, &stats));
   }
   stats.scan_nanos = NowNanos() - t0;
-  stats.files_added = sstats.files_added;
-  stats.files_changed = sstats.files_changed;
-  stats.files_removed = sstats.files_removed;
-  stats.files_scanned = sstats.files_scanned;
-  stats.files_reused = sstats.files_reused;
-  stats.files_quarantined = sstats.files_quarantined;
-  stats.workers = sstats.workers;
-  stats.read_retries = sstats.read_retries;
-  stats.serial_sim_nanos = sstats.serial_sim_nanos;
-  stats.parallel_sim_nanos = sstats.parallel_sim_nanos;
-  stats.is_partial = sstats.is_partial;
-  stats.files_skipped_deadline = sstats.files_skipped_deadline;
-  stats.num_shards = sstats.num_shards;
-  stats.files_skipped_shard = sstats.files_skipped_shard;
-  stats.net_sim_nanos = sstats.net_sim_nanos;
-  stats.warnings = std::move(sstats.warnings);
-  if (sstats.warnings_dropped > 0) {
-    stats.warnings.push_back("(" + std::to_string(sstats.warnings_dropped) +
-                             " more warnings dropped)");
-  }
-  stats.sim_io_nanos = refresh_sim_nanos;
 
   // Adopt the merged metadata wholesale: F and R describe exactly what is on
   // disk now (modulo deadline-skipped files held at their stale rows).

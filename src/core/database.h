@@ -106,20 +106,19 @@ struct DatabaseOptions {
   std::string metadata_snapshot_path;
 };
 
-/// \brief Timings and sizes of Open() — the paper's data-to-insight costs.
-struct OpenStats {
+/// \brief Timings and sizes of Open() — the paper's data-to-insight costs:
+/// what its stage-1 scan did (workers, simulated stall time, net time,
+/// quarantines, warnings; DESIGN.md §8.9) and, under kEager, the load.
+struct OpenStats : Stage1Stats, EagerLoadStats {
   uint64_t metadata_scan_nanos = 0;  // walking the repo, parsing headers
-  uint64_t load_nanos = 0;           // Ei only: actual data load
-  uint64_t index_nanos = 0;          // Ei only: index build
   uint64_t sim_io_nanos = 0;         // simulated I/O charged during Open
   uint64_t repo_bytes = 0;
   uint64_t metadata_bytes = 0;       // size of F + R (the "ALi" column of Table 1)
-  uint64_t db_bytes = 0;             // Ei: loaded table bytes
-  uint64_t index_bytes = 0;          // Ei: "+keys"
   size_t num_files = 0;
   size_t num_records = 0;
-  uint64_t num_data_rows = 0;        // Ei: rows materialized in D
-  size_t snapshot_files_reused = 0;  // instant-on: files not re-scanned
+  // Instant-on: files not re-scanned. A copy of `files_reused`, kept while
+  // dexbench reads it.
+  size_t snapshot_files_reused = 0;
 
   // Persistent-cache recovery (cache_dir set): entries that survived the
   // validation ladder, were deleted as corrupt, or were dropped because the
@@ -128,29 +127,37 @@ struct OpenStats {
   uint64_t cache_entries_quarantined = 0;
   uint64_t cache_entries_stale = 0;
 
-  // Parallel stage-1 scan: resolved worker-lane count, the scan's charged
-  // (serial-sum, worker-invariant) simulated stall time, and its critical
-  // path over `scan_workers` lanes (what a medium with that much overlap
-  // would have stalled). See DESIGN.md §8.9.
-  size_t scan_workers = 1;
-  uint64_t scan_serial_sim_nanos = 0;
-  uint64_t scan_parallel_sim_nanos = 0;
-
-  // Sharded scan: shard count and the interconnect time Open's scan charged
-  // shipping parsed headers to the coordinator (0 when unsharded).
-  size_t num_shards = 1;
-  uint64_t scan_net_sim_nanos = 0;
-
   /// Wall-clock-equivalent seconds including simulated I/O.
   double TotalSeconds() const {
     return static_cast<double>(metadata_scan_nanos + load_nanos + index_nanos +
                                sim_io_nanos) /
            1e9;
   }
+
+  /// The published gauges with their metric names (common/stat_fields.h).
+  static constexpr auto Fields() {
+    using S = OpenStats;
+    return std::tuple{
+        StatField{"open.metadata_scan_nanos", &S::metadata_scan_nanos},
+        StatField{"open.load_nanos", &S::load_nanos},
+        StatField{"open.index_nanos", &S::index_nanos},
+        StatField{"open.sim_io_nanos", &S::sim_io_nanos},
+        StatField{"open.repo_bytes", &S::repo_bytes},
+        StatField{"open.metadata_bytes", &S::metadata_bytes},
+        StatField{"open.num_files", &S::num_files},
+        StatField{"open.num_records", &S::num_records},
+        StatField{"open.snapshot_files_reused", &S::snapshot_files_reused},
+        StatField{"open.scan_workers", &S::workers},
+        StatField{"open.scan_serial_sim_nanos", &S::serial_sim_nanos},
+        StatField{"open.scan_parallel_sim_nanos", &S::parallel_sim_nanos},
+        StatField{"open.num_shards", &S::num_shards},
+        StatField{"open.scan_net_sim_nanos", &S::net_sim_nanos}};
+  }
 };
 
-/// \brief Per-query statistics reported alongside every result.
-struct QueryStats {
+/// \brief Per-query statistics reported alongside every result, with the
+/// query's degradation notices (retries exhausted, files quarantined).
+struct QueryStats : Warnings {
   uint64_t plan_nanos = 0;      // parse + bind + compile-time optimization
   uint64_t exec_nanos = 0;      // both stages, CPU
   /// Simulated I/O stalls charged by *this query* (its own per-query tee of
@@ -158,7 +165,8 @@ struct QueryStats {
   uint64_t sim_io_nanos = 0;
   TwoStageStats two_stage;      // stage split details (kLazy)
   /// What ALi's mounts did (kLazy): decode work, fault tolerance (retries,
-  /// failed/skipped files, salvage) and zone-map pruning.
+  /// failed/skipped files, salvage) and zone-map pruning. A copy of
+  /// `two_stage.mount.counters`, kept while dexbench reads it.
   Mounter::MountCounters mount;
   uint64_t result_rows = 0;
 
@@ -166,14 +174,21 @@ struct QueryStats {
   /// epoch current at admission, unaffected by concurrent Refresh).
   uint64_t epoch = 0;
 
-  /// Human-readable degradation notices for this query: retries exhausted,
-  /// files quarantined or skipped, records dropped. Bounded; a final entry
-  /// notes how many were dropped when the bound is hit.
-  std::vector<std::string> warnings;
-
   /// Reported query time: measured CPU + simulated I/O.
   double TotalSeconds() const {
     return static_cast<double>(plan_nanos + exec_nanos + sim_io_nanos) / 1e9;
+  }
+
+  /// The text every surface shows: EXPLAIN ANALYZE's execution section and
+  /// the shell's `.stats`, whose first line the shell prints after a query.
+  std::string ToString() const;
+
+  /// Every counter with its metric name (common/stat_fields.h).
+  static constexpr auto Fields() {
+    using S = QueryStats;
+    return std::tuple{StatField{"query.plan_nanos", &S::plan_nanos},
+                      StatField{"query.exec_nanos", &S::exec_nanos},
+                      StatField{"query.sim_io_nanos", &S::sim_io_nanos}};
   }
 };
 
@@ -183,40 +198,37 @@ struct QueryResult {
   QueryStats stats;
 };
 
-/// \brief What a Refresh() found in the repository. Every field except the
-/// wall-clock `scan_nanos` is bit-identical at any stage1_threads value.
-struct RefreshStats {
-  size_t files_added = 0;    // new since Open()/last refresh
-  size_t files_changed = 0;  // size or mtime differs (header re-parsed)
-  size_t files_removed = 0;  // gone from disk (metadata rows dropped)
-  uint64_t scan_nanos = 0;   // wall clock, including the parallel scan
-
-  // -- Parallel stage-1 scan ----------------------------------------------
-  size_t files_scanned = 0;      // headers physically parsed
-  size_t files_reused = 0;       // unchanged: catalog rows kept, no parse
-  size_t files_quarantined = 0;  // corrupt header / permanent read failure
-  size_t workers = 1;            // resolved worker-lane count
-  uint64_t read_retries = 0;     // transient header-read faults absorbed
-  uint64_t sim_io_nanos = 0;     // simulated I/O charged by this refresh
-  uint64_t serial_sim_nanos = 0;    // scan stall time, summed over tasks
-  uint64_t parallel_sim_nanos = 0;  // critical path over `workers` lanes
+/// \brief What a Refresh() found in the repository: its stage-1 scan plus
+/// its own timing and epoch. Every field except the wall-clock
+/// `scan_nanos` is bit-identical at any stage1_threads value.
+struct RefreshStats : Stage1Stats {
+  uint64_t scan_nanos = 0;    // wall clock, including the parallel scan
+  uint64_t sim_io_nanos = 0;  // simulated I/O charged by this refresh
 
   /// Id of the catalog epoch this refresh published. Queries admitted before
   /// the publish keep reading their pinned pre-refresh epoch; queries
   /// admitted after see this one.
   uint64_t epoch = 0;
 
-  // -- Governance (a deadline armed during Refresh) -----------------------
-  bool is_partial = false;            // deadline or dead shard left work undone
-  size_t files_skipped_deadline = 0;  // files left at their stale rows
-
-  // -- Sharded scan -------------------------------------------------------
-  size_t num_shards = 1;           // effective shard count (1 = unsharded)
-  size_t files_skipped_shard = 0;  // scan candidates on dead shards
-  uint64_t net_sim_nanos = 0;      // interconnect time this refresh charged
-
-  /// Degradation notices (quarantines), bounded, deterministic order.
-  std::vector<std::string> warnings;
+  /// Every counter with its metric name (common/stat_fields.h).
+  static constexpr auto Fields() {
+    using S = RefreshStats;
+    return std::tuple{
+        StatField{"refresh.files_added", &S::files_added},
+        StatField{"refresh.files_changed", &S::files_changed},
+        StatField{"refresh.files_removed", &S::files_removed},
+        StatField{"refresh.files_scanned", &S::files_scanned},
+        StatField{"refresh.files_reused", &S::files_reused},
+        StatField{"refresh.files_quarantined", &S::files_quarantined},
+        StatField{"refresh.read_retries", &S::read_retries},
+        StatField{"refresh.scan_nanos", &S::scan_nanos},
+        StatField{"refresh.sim_io_nanos", &S::sim_io_nanos},
+        StatField{"refresh.serial_sim_nanos", &S::serial_sim_nanos},
+        StatField{"refresh.parallel_sim_nanos", &S::parallel_sim_nanos},
+        StatField{"governance.files_skipped_deadline",
+                  &S::files_skipped_deadline},
+        StatField{"shard.files_skipped_shard", &S::files_skipped_shard}};
+  }
 };
 
 /// \brief Per-query knobs for Database::Query — the single query entry

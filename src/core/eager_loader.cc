@@ -18,21 +18,12 @@ uint64_t NowNanos() {
 
 }  // namespace
 
-Result<EagerLoadStats> EagerLoader::LoadAll(const mseed::ScanResult& scan,
-                                            Catalog* catalog,
-                                            FileRegistry* registry,
-                                            FormatAdapter* format,
-                                            bool build_indexes) {
-  EagerLoadStats stats;
-  stats.repo_bytes = scan.total_bytes;
-  SimDisk* disk = catalog->disk();
-  const uint64_t sim0 = disk->stats().sim_nanos;
-
+Status EagerLoader::LoadAll(const mseed::ScanResult& scan, Catalog* catalog,
+                            FileRegistry* registry, FormatAdapter* format,
+                            bool build_indexes, EagerLoadStats* stats) {
   // Metadata tables (also loaded in Ei, trivially small next to D).
-  const uint64_t t0 = NowNanos();
   DEX_ASSIGN_OR_RETURN(TablePtr f_table, BuildFileTable(scan));
   DEX_ASSIGN_OR_RETURN(TablePtr r_table, BuildRecordTable(scan));
-  stats.scan_nanos = NowNanos() - t0;
   DEX_RETURN_NOT_OK(catalog->AddTable(f_table, TableKind::kMetadata));
   DEX_RETURN_NOT_OK(catalog->AddTable(r_table, TableKind::kMetadata));
   DEX_RETURN_NOT_OK(catalog->SyncStorageSize(kFileTableName));
@@ -48,11 +39,12 @@ Result<EagerLoadStats> EagerLoader::LoadAll(const mseed::ScanResult& scan,
                          format->ReadAllRecords(file.uri));
     DEX_RETURN_NOT_OK(AppendFileToDataTable(file.uri, records, d_table.get()));
   }
-  stats.rows_loaded = d_table->num_rows();
+  stats->num_data_rows = d_table->num_rows();
   DEX_RETURN_NOT_OK(catalog->AddTable(d_table, TableKind::kActual));
   DEX_RETURN_NOT_OK(catalog->SyncStorageSize(kDataTableName));
-  stats.load_nanos = NowNanos() - t1;
-  stats.db_bytes = f_table->ByteSize() + r_table->ByteSize() + d_table->ByteSize();
+  stats->load_nanos = NowNanos() - t1;
+  stats->db_bytes =
+      f_table->ByteSize() + r_table->ByteSize() + d_table->ByteSize();
 
   if (build_indexes) {
     const uint64_t t2 = NowNanos();
@@ -62,11 +54,10 @@ Result<EagerLoadStats> EagerLoader::LoadAll(const mseed::ScanResult& scan,
     DEX_RETURN_NOT_OK(catalog->BuildIndex(kRecordTableName, {"uri"}, "R_fk_F"));
     DEX_RETURN_NOT_OK(
         catalog->BuildIndex(kDataTableName, {"uri", "record_id"}, "D_fk_R"));
-    stats.index_nanos = NowNanos() - t2;
-    stats.index_bytes = catalog->TotalIndexBytes();
+    stats->index_nanos = NowNanos() - t2;
+    stats->index_bytes = catalog->TotalIndexBytes();
   }
-  stats.sim_io_nanos = disk->stats().sim_nanos - sim0;
-  return stats;
+  return Status::OK();
 }
 
 }  // namespace dex

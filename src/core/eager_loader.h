@@ -14,14 +14,11 @@ namespace dex {
 
 /// \brief Timings and sizes of an eager (Ei) load, the paper's baseline.
 struct EagerLoadStats {
-  uint64_t scan_nanos = 0;    // metadata extraction
-  uint64_t load_nanos = 0;    // decompress + materialize actual data
-  uint64_t index_nanos = 0;   // PK/FK index construction
-  uint64_t repo_bytes = 0;    // size of the mSEED repository
-  uint64_t db_bytes = 0;      // loaded tables, without indexes
-  uint64_t index_bytes = 0;   // "+keys" of Table 1
-  uint64_t rows_loaded = 0;   // rows in D
-  uint64_t sim_io_nanos = 0;  // simulated write/read time during the load
+  uint64_t load_nanos = 0;     // decompress + materialize actual data
+  uint64_t index_nanos = 0;    // PK/FK index construction
+  uint64_t db_bytes = 0;       // loaded tables, without indexes
+  uint64_t index_bytes = 0;    // "+keys" of Table 1
+  uint64_t num_data_rows = 0;  // rows materialized in D
 };
 
 /// \brief Ei: "the entire input repository is loaded eagerly up-front"
@@ -29,12 +26,12 @@ struct EagerLoadStats {
 /// R(uri, record_id) primary keys, R(uri) and D(uri, record_id) foreign keys.
 class EagerLoader {
  public:
-  /// Loads every file under `scan` into catalog tables F, R, D. The catalog
-  /// must not yet contain them. Files must already be in `registry`.
-  static Result<EagerLoadStats> LoadAll(const mseed::ScanResult& scan,
-                                        Catalog* catalog, FileRegistry* registry,
-                                        FormatAdapter* format,
-                                        bool build_indexes);
+  /// Loads every file under `scan` into catalog tables F, R, D and fills
+  /// `stats`. The catalog must not yet contain them. Files must already be
+  /// in `registry`.
+  static Status LoadAll(const mseed::ScanResult& scan, Catalog* catalog,
+                        FileRegistry* registry, FormatAdapter* format,
+                        bool build_indexes, EagerLoadStats* stats);
 };
 
 }  // namespace dex

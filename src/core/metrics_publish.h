@@ -9,8 +9,10 @@
 namespace dex {
 
 /// Publishers folding the system's stat structs into the global
-/// obs::MetricsRegistry under stable dot-separated names. One-way: metrics
-/// are observability output only and never feed back into execution.
+/// obs::MetricsRegistry under stable dot-separated names: each walks its
+/// struct's `Fields()` list (common/stat_fields.h), which names every
+/// counter once. One-way: metrics are observability output only and never
+/// feed back into execution.
 
 /// Per-query counters/histograms (`query.*`, `stage.*`, `mount.*`,
 /// `fault.*`, `exec.*`). Called once per completed query. When `labels` is

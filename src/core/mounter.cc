@@ -15,32 +15,11 @@ namespace dex {
 
 namespace {
 
-// Warnings surface in QueryStats; keep each outcome's buffer bounded so a
-// pathological repository cannot grow it without limit.
-constexpr size_t kMaxMountWarnings = 256;
+void AddWarning(Mounter::MountOutcome* outcome, std::string msg) {
+  if (outcome != nullptr) outcome->AddWarning(std::move(msg));
+}
 
 }  // namespace
-
-void Mounter::MountOutcome::MergeFrom(const MountOutcome& o) {
-  counters += o.counters;
-  warnings_dropped += o.warnings_dropped;
-  for (const std::string& w : o.warnings) {
-    if (warnings.size() < kMaxMountWarnings) {
-      warnings.push_back(w);
-    } else {
-      ++warnings_dropped;
-    }
-  }
-}
-
-void Mounter::AddWarning(MountOutcome* outcome, std::string msg) {
-  if (outcome == nullptr) return;
-  if (outcome->warnings.size() < kMaxMountWarnings) {
-    outcome->warnings.push_back(std::move(msg));
-  } else {
-    ++outcome->warnings_dropped;
-  }
-}
 
 Status Mounter::ChargeReadWithRetry(const std::string& uri,
                                     MountOutcome* outcome,

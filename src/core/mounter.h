@@ -7,8 +7,10 @@
 
 #include "common/result.h"
 #include "core/cache_manager.h"
+#include "common/stat_fields.h"
 #include "core/file_registry.h"
 #include "core/format_adapter.h"
+#include "core/stats_base.h"
 #include "core/zone_map.h"
 #include "engine/expr.h"
 #include "exec/query_context.h"
@@ -104,36 +106,39 @@ class Mounter {
     // copied; stage 2 reports them in ExecStats::range_skipped_rows.
     uint64_t range_skipped_rows = 0;
 
+    /// Every counter with its metric name (common/stat_fields.h).
+    static constexpr auto Fields() {
+      using S = MountCounters;
+      return std::tuple{
+          StatField{"mount.mounts", &S::mounts},
+          StatField{"mount.records_decoded", &S::records_decoded},
+          StatField{"mount.samples_decoded", &S::samples_decoded},
+          StatField{"mount.bytes_read", &S::bytes_read},
+          StatField{"fault.read_retries", &S::read_retries},
+          StatField{"fault.files_failed", &S::files_failed},
+          StatField{"fault.files_skipped", &S::files_skipped},
+          StatField{"fault.records_salvaged", &S::records_salvaged},
+          StatField{"fault.records_skipped", &S::records_skipped},
+          StatField{"zonemap.records_skipped", &S::records_skipped_zonemap},
+          StatField{"zonemap.frames_skipped", &S::frames_skipped_zonemap},
+          StatField{"zonemap.frames_decoded", &S::frames_decoded_zonemap},
+          StatField{"zonemap.fallbacks", &S::zonemap_fallbacks},
+          // Published in ExecStats' kernel.range_skipped_rows.
+          StatField{nullptr, &S::range_skipped_rows}};
+    }
+
     MountCounters& operator+=(const MountCounters& o) {
-      mounts += o.mounts;
-      records_decoded += o.records_decoded;
-      samples_decoded += o.samples_decoded;
-      bytes_read += o.bytes_read;
-      read_retries += o.read_retries;
-      files_failed += o.files_failed;
-      files_skipped += o.files_skipped;
-      records_salvaged += o.records_salvaged;
-      records_skipped += o.records_skipped;
-      records_skipped_zonemap += o.records_skipped_zonemap;
-      frames_skipped_zonemap += o.frames_skipped_zonemap;
-      frames_decoded_zonemap += o.frames_decoded_zonemap;
-      zonemap_fallbacks += o.zonemap_fallbacks;
-      range_skipped_rows += o.range_skipped_rows;
+      ForEachStatField(Fields(), [&](const auto& f) {
+        this->*f.member += o.*f.member;
+      });
       return *this;
     }
   };
 
-  /// What one (or, accumulated, several) Mount call(s) did. Warnings are
-  /// bounded; overflow is counted in `warnings_dropped`.
-  struct MountOutcome {
+  /// What one (or, accumulated, several) Mount call(s) did: counters and
+  /// bounded warnings.
+  struct MountOutcome : Warnings {
     MountCounters counters;
-    std::vector<std::string> warnings;
-    uint64_t warnings_dropped = 0;
-
-    /// Folds another outcome in (bounded warnings). The parallel mount path
-    /// merges per-task outcomes in task order at the barrier, so merged
-    /// warning order is deterministic.
-    void MergeFrom(const MountOutcome& o);
   };
 
   /// `zone_maps`, when non-null, receives the value zone of every fully
@@ -198,8 +203,6 @@ class Mounter {
   /// attempts, or the failure is not an I/O fault at all.
   Status ChargeReadWithRetry(const std::string& uri, MountOutcome* outcome,
                              const QueryContext* qctx);
-
-  static void AddWarning(MountOutcome* outcome, std::string msg);
 
   FileRegistry* registry_;
   CacheManager* cache_;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/stat_fields.h"
 #include "io/columnar_file.h"
 #include "io/sim_disk.h"
 #include "storage/table.h"
@@ -73,6 +74,20 @@ class PersistentCache {
     uint64_t recovered = 0;        // entries that survived open-time recovery
     uint64_t quarantined = 0;      // corrupt entries deleted (CACHE_QUARANTINE)
     uint64_t stale_dropped = 0;    // source size/mtime changed → deleted
+
+    /// Every counter with its metric name (common/stat_fields.h).
+    static constexpr auto Fields() {
+      using S = Stats;
+      return std::tuple{
+          StatField{"cache.disk.persisted", &S::persisted},
+          StatField{"cache.disk.persisted_bytes", &S::persisted_bytes},
+          StatField{"cache.disk.persist_failures", &S::persist_failures},
+          StatField{"cache.disk.loads", &S::loads},
+          StatField{"cache.disk.load_failures", &S::load_failures},
+          StatField{"cache.disk.recovered", &S::recovered},
+          StatField{"cache.disk.quarantined", &S::quarantined},
+          StatField{"cache.disk.stale_dropped", &S::stale_dropped}};
+    }
   };
 
   /// One entry that survived the full validation ladder at recovery.

@@ -14,10 +14,6 @@ namespace dex {
 
 namespace {
 
-// Warnings kept per scan are bounded so a rotten repository cannot bloat
-// the stats of its own refresh (mirrors the query-warning bound).
-constexpr size_t kMaxScanWarnings = 32;
-
 /// The coordinator's per-file decision, made in enumeration order.
 struct FilePlan {
   const std::string* uri = nullptr;
@@ -39,14 +35,6 @@ struct TaskSlot {
   uint64_t retries = 0;
   uint64_t sim_nanos = 0;
 };
-
-void AddWarning(Stage1Stats* stats, std::string msg) {
-  if (stats->warnings.size() < kMaxScanWarnings) {
-    stats->warnings.push_back(std::move(msg));
-  } else {
-    ++stats->warnings_dropped;
-  }
-}
 
 /// Charges the file's header pages ((num_records + 1) * 64 bytes, capped at
 /// the file size) to the simulated medium, absorbing transient faults with
@@ -374,8 +362,8 @@ Result<mseed::ScanResult> Stage1Scanner::Scan(const std::string& root,
       // re-detected as changed and rescanned (which lifts the quarantine).
       registry_->Quarantine(*plan.uri, slot.error);
       obs::Tracer::Instant("scan_quarantine", "fault", {{"uri", *plan.uri}});
-      AddWarning(stats, "stage-1 scan of '" + *plan.uri +
-                            "' failed: " + slot.error + " (file quarantined)");
+      stats->AddWarning("stage-1 scan of '" + *plan.uri +
+                        "' failed: " + slot.error + " (file quarantined)");
       ++stats->files_quarantined;
       continue;
     }
@@ -398,10 +386,10 @@ Result<mseed::ScanResult> Stage1Scanner::Scan(const std::string& root,
       // repaired.
       registry_->Quarantine(*plan.uri, slot.error);
       obs::Tracer::Instant("scan_quarantine", "fault", {{"uri", *plan.uri}});
-      AddWarning(stats, "header read of '" + *plan.uri + "' failed after " +
-                            std::to_string(options.retry.max_retries) +
-                            " retries: " + slot.error +
-                            " (file quarantined; metadata kept)");
+      stats->AddWarning("header read of '" + *plan.uri + "' failed after " +
+                        std::to_string(options.retry.max_retries) +
+                        " retries: " + slot.error +
+                        " (file quarantined; metadata kept)");
       ++stats->files_quarantined;
     }
     out.files.insert(out.files.end(), slot.result.files.begin(),

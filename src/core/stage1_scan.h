@@ -11,6 +11,7 @@
 #include "core/file_registry.h"
 #include "core/format_adapter.h"
 #include "core/mounter.h"
+#include "core/stats_base.h"
 #include "core/stats_collector.h"
 #include "exec/query_context.h"
 #include "exec/thread_pool.h"
@@ -63,8 +64,12 @@ struct Stage1Options {
 };
 
 /// \brief What one stage-1 scan did. Every field is a pure function of the
-/// repository state and the options — not of the worker count.
-struct Stage1Stats {
+/// repository state and the options — not of the worker count. The serial
+/// sum of the header reads' stall time is what the scan charges; the
+/// critical path is what a medium with that much overlap would have
+/// stalled (bench_refresh's speedup). Warnings (quarantines) merge in
+/// enumeration order.
+struct Stage1Stats : AdmissionStats, Warnings {
   size_t files_enumerated = 0;  // files the format adapter listed
   size_t files_scanned = 0;     // headers physically parsed this scan
   size_t files_reused = 0;      // metadata served from the baseline
@@ -72,33 +77,7 @@ struct Stage1Stats {
   size_t files_changed = 0;     // scanned files whose size/mtime differed
   size_t files_removed = 0;     // baseline files gone from disk
   size_t files_quarantined = 0; // corrupt header or permanent read failure
-  size_t files_skipped_deadline = 0;
-  bool is_partial = false;      // a deadline or dead shard left work undone
-  size_t workers = 1;           // resolved worker-lane count
   uint64_t read_retries = 0;    // transient header-read failures absorbed
-
-  // -- Sharded scan -------------------------------------------------------
-  size_t num_shards = 1;          // effective shard count (1 = unsharded)
-  size_t files_skipped_shard = 0; // scan candidates on dead shards
-  /// Simulated interconnect time charged shipping parsed headers to the
-  /// coordinator (0 when unsharded).
-  uint64_t net_sim_nanos = 0;
-
-  /// Simulated stall time of the scan's header reads, summed over its
-  /// admission windows. The *serial sum* is what is charged to the global
-  /// clock — worker-count-invariant — while the critical path is reported
-  /// here as what a medium with that much overlap would have stalled
-  /// (bench_refresh's speedup = serial/parallel). Unsharded, a window's
-  /// critical path is the makespan over `workers` lanes; sharded, it is the
-  /// slowest shard (that shard's summed parse time + its link time): each
-  /// shard is one serial storage node.
-  uint64_t serial_sim_nanos = 0;
-  uint64_t parallel_sim_nanos = 0;
-
-  /// Degradation notices (quarantines), bounded; merged in enumeration
-  /// order so the list is deterministic at any worker count.
-  std::vector<std::string> warnings;
-  uint64_t warnings_dropped = 0;
 };
 
 /// \brief Parallel stage-1 metadata scan: the enumerate-then-ScanFile driver

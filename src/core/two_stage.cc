@@ -128,8 +128,8 @@ class Stage2Admission {
   Stage2Admission(Mounter* mounter, FileRegistry* registry,
                   CacheManager* cache, ThreadPool* pool, QueryContext* qctx,
                   const TwoStageOptions* opts, TwoStageStats* stats,
-                  ShardedRepository* shards, int num_shards, size_t lanes,
-                  int priority)
+                  Warnings* warnings, ShardedRepository* shards,
+                  int num_shards, size_t lanes, int priority)
       : mounter_(mounter),
         registry_(registry),
         cache_(cache),
@@ -137,6 +137,7 @@ class Stage2Admission {
         qctx_(qctx),
         opts_(opts),
         stats_(stats),
+        warnings_(warnings),
         shards_(shards),
         num_shards_(num_shards),
         lanes_(lanes),
@@ -289,16 +290,15 @@ class Stage2Admission {
   /// quarantines it, else its table reserves its bytes or stops admission.
   Result<TablePtr> Commit(const LogicalPlan& node, Slot* slot,
                           const Status& gathered) {
-    stats_->mount.MergeFrom(slot->outcome);
+    stats_->mount.counters += slot->outcome.counters;
+    warnings_->MergeWarnings(slot->outcome);
     if (!gathered.ok()) {
       // The response never crossed the link (loss past the resend budget,
       // or the shard died mid-query): the file is quarantined and serves no
       // rows, deterministically because the link fault streams are.
       registry_->Quarantine(node.uri, gathered.message());
-      Mounter::MountOutcome warning;
-      warning.warnings.push_back("gather of '" + node.uri + "' failed: " +
-                                 gathered.message() + " (file quarantined)");
-      stats_->mount.MergeFrom(warning);
+      warnings_->AddWarning("gather of '" + node.uri + "' failed: " +
+                            gathered.message() + " (file quarantined)");
       return Empty(node);
     }
     if (stopped_) return Skip(node);
@@ -394,6 +394,7 @@ class Stage2Admission {
   QueryContext* qctx_;
   const TwoStageOptions* opts_;
   TwoStageStats* stats_;
+  Warnings* warnings_;
   ShardedRepository* shards_;  // null when the query runs unsharded
   int num_shards_;
   size_t lanes_;
@@ -606,7 +607,7 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
                                            PlanProfiler* profiler,
                                            QueryContext& qctx,
                                            const QueryEnv& env) {
-  DEX_CHECK(stats != nullptr);
+  DEX_CHECK(stats != nullptr && env.warnings != nullptr);
   Catalog* catalog = env.catalog;
   const TwoStageOptions& opts = *env.options;
   const int num_shards =
@@ -625,8 +626,8 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
   stats->workers = governed ? 1 : workers;
   Stage2Admission admission(mounter_, registry_, cache_,
                             governed || workers <= 1 ? nullptr : Pool(workers),
-                            &qctx, &opts, stats, shards, num_shards, workers,
-                            env.priority);
+                            &qctx, &opts, stats, env.warnings, shards,
+                            num_shards, workers, env.priority);
 
   // URIs pinned in the cache for this query's cache-scan branches.
   std::vector<std::string> pinned_uris;

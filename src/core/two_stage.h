@@ -11,6 +11,7 @@
 #include "core/informativeness.h"
 #include "core/mounter.h"
 #include "core/plan_splitter.h"
+#include "core/stats_base.h"
 #include "engine/executor.h"
 #include "exec/query_context.h"
 #include "exec/thread_pool.h"
@@ -94,8 +95,10 @@ struct FileDecision {
   Action action = Action::kMount;
 };
 
-/// \brief Statistics of one two-stage execution.
-struct TwoStageStats {
+/// \brief Statistics of one two-stage execution. The admission fields
+/// describe the stage-2 mount windows; `net_sim_nanos` covers scatter
+/// requests and per-file gather responses, resend backoff included.
+struct TwoStageStats : AdmissionStats {
   bool split = false;          // Q_f / Q_s decomposition happened
   bool stage1_only = false;    // metadata-only query: stage 1 answered it
   uint64_t stage1_nanos = 0;
@@ -106,24 +109,10 @@ struct TwoStageStats {
   size_t files_planned_cache = 0;
   size_t files_pruned = 0;
   size_t files_quarantined = 0;  // files of interest dropped as quarantined
-
-  // -- Parallel ingestion -------------------------------------------------
-  size_t workers = 1;        // resolved lane count (1 when governed)
-  size_t mount_tasks = 0;    // stage-2 mounts, each run as a task
-  /// Simulated stall time charged for the mount windows: each window's
-  /// critical path (longest lane under deterministic list scheduling, or
-  /// the slowest shard).
-  uint64_t parallel_sim_nanos = 0;
-  /// What the same windows would have cost serially (sum over tasks and
-  /// links) — the parallel speedup in simulated time is serial/parallel.
-  uint64_t serial_sim_nanos = 0;
+  size_t mount_tasks = 0;        // stage-2 mounts, each run as a task
 
   // -- Resource governance ------------------------------------------------
-  /// True when the result is incomplete: the deadline or memory budget
-  /// stopped mount admission and some files of interest were never ingested.
-  bool is_partial = false;
-  size_t files_skipped_deadline = 0;  // admission refused: deadline passed
-  size_t files_skipped_memory = 0;    // admission refused: budget exhausted
+  size_t files_skipped_memory = 0;  // admission refused: budget exhausted
   /// Simulated / wall nanoseconds into the query when admission stopped
   /// (0 when it never did).
   uint64_t cutoff_sim_nanos = 0;
@@ -134,15 +123,6 @@ struct TwoStageStats {
   uint64_t mem_reserved_peak = 0;
   uint64_t mem_budget_evictions = 0;
 
-  // -- Sharded execution --------------------------------------------------
-  /// Effective shard count this query ran with (1 = unsharded).
-  size_t num_shards = 1;
-  /// Files of interest dropped at planning time because their owning shard
-  /// was dead (they contribute to `is_partial`, like governance skips).
-  size_t files_skipped_shard = 0;
-  /// Simulated interconnect time this query charged (scatter requests plus
-  /// per-file gather responses, including deterministic resend backoff).
-  uint64_t net_sim_nanos = 0;
   /// One row per shard that served this query's stage-2 mounts: its slice
   /// of the ingestion and what its link cost, summed over the windows. Each
   /// sharded window charges its slowest shard's disk + net time — each
@@ -151,13 +131,37 @@ struct TwoStageStats {
   using ShardRow = ShardedRepository::ShardCost;
   std::vector<ShardRow> shard_rows;
 
-  /// Everything the query's mounts did (counters + bounded warnings),
-  /// merged in branch order when each admission window commits.
+  /// What the query's mounts did, merged in branch order when each
+  /// admission window commits. Only the counters: the mounts' warnings go
+  /// to the query's list (QueryEnv::warnings).
   Mounter::MountOutcome mount;
 
   ExecStats exec;
   BreakpointInfo breakpoint;
   bool breakpoint_evaluated = false;
+
+  /// Every counter with its metric name (common/stat_fields.h).
+  static constexpr auto Fields() {
+    using S = TwoStageStats;
+    return std::tuple{
+        StatField{"stage.stage1_nanos", &S::stage1_nanos},
+        StatField{"stage.rewrite_nanos", &S::rewrite_nanos},
+        StatField{"stage.stage2_nanos", &S::stage2_nanos},
+        StatField{"stage.files_of_interest", &S::files_of_interest},
+        StatField{"stage.files_planned_mount", &S::files_planned_mount},
+        StatField{"stage.files_planned_cache", &S::files_planned_cache},
+        StatField{"stage.files_pruned", &S::files_pruned},
+        StatField{"stage.files_quarantined", &S::files_quarantined},
+        StatField{"stage.mount_tasks", &S::mount_tasks},
+        StatField{"stage.parallel_sim_nanos", &S::parallel_sim_nanos},
+        StatField{"stage.serial_sim_nanos", &S::serial_sim_nanos},
+        StatField{"shard.files_skipped_shard", &S::files_skipped_shard},
+        StatField{"governance.files_skipped_deadline",
+                  &S::files_skipped_deadline},
+        StatField{"governance.files_skipped_memory", &S::files_skipped_memory},
+        StatField{"governance.mem_budget_evictions",
+                  &S::mem_budget_evictions}};
+  }
 };
 
 /// \brief Executes queries under the paper's two-stage paradigm.
@@ -191,6 +195,9 @@ class TwoStageExecutor {
     /// Per-query shard count (0 = the repository's configured count; other
     /// values are clamped into [1, configured]).
     int num_shards = 0;
+    /// The query's warning list: every mount's warnings merge into it in
+    /// branch order. Required.
+    Warnings* warnings = nullptr;
   };
 
   /// `shared_pool`, when non-null, is used for stage-2 mount tasks instead

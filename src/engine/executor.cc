@@ -1690,9 +1690,7 @@ Result<TablePtr> ExecutePlan(const PlanPtr& plan, ExecContext* ctx) {
   }
   DEX_ASSIGN_OR_RETURN(PhysOpPtr root, BuildOp(plan, ctx));
   DEX_RETURN_NOT_OK(root->Open());
-  DEX_ASSIGN_OR_RETURN(TablePtr result, Drain(root.get(), "result"));
-  ctx->stats.rows_output += result->num_rows();
-  return result;
+  return Drain(root.get(), "result");
 }
 
 }  // namespace dex

@@ -6,6 +6,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/stat_fields.h"
 #include "engine/logical_plan.h"
 #include "storage/catalog.h"
 
@@ -16,7 +17,6 @@ class PlanProfiler;
 /// \brief Counters filled during plan execution.
 struct ExecStats {
   uint64_t rows_scanned = 0;    // rows streamed out of base-table scans
-  uint64_t rows_output = 0;     // rows in the final result
   uint64_t files_mounted = 0;   // ALi mounts performed
   uint64_t mounted_rows = 0;    // rows ingested by mounts
   uint64_t cache_scans = 0;     // cache-scan access paths taken
@@ -44,22 +44,23 @@ struct ExecStats {
   // select-mounts' share arrives through the mount counters.
   uint64_t range_skipped_rows = 0;
 
-  ExecStats& operator+=(const ExecStats& o) {
-    rows_scanned += o.rows_scanned;
-    rows_output += o.rows_output;
-    files_mounted += o.files_mounted;
-    mounted_rows += o.mounted_rows;
-    cache_scans += o.cache_scans;
-    index_probes += o.index_probes;
-    kernel_filter_batches += o.kernel_filter_batches;
-    scalar_filter_batches += o.scalar_filter_batches;
-    kernel_join_batches += o.kernel_join_batches;
-    scalar_join_batches += o.scalar_join_batches;
-    kernel_agg_batches += o.kernel_agg_batches;
-    scalar_agg_batches += o.scalar_agg_batches;
-    selection_compactions += o.selection_compactions;
-    range_skipped_rows += o.range_skipped_rows;
-    return *this;
+  /// Every counter with its metric name (common/stat_fields.h).
+  static constexpr auto Fields() {
+    using S = ExecStats;
+    return std::tuple{
+        StatField{"exec.rows_scanned", &S::rows_scanned},
+        StatField{"exec.files_mounted", &S::files_mounted},
+        StatField{"exec.mounted_rows", &S::mounted_rows},
+        StatField{"exec.cache_scans", &S::cache_scans},
+        StatField{"exec.index_probes", &S::index_probes},
+        StatField{"kernel.filter_batches", &S::kernel_filter_batches},
+        StatField{"kernel.filter_scalar_batches", &S::scalar_filter_batches},
+        StatField{"kernel.join_batches", &S::kernel_join_batches},
+        StatField{"kernel.join_scalar_batches", &S::scalar_join_batches},
+        StatField{"kernel.agg_batches", &S::kernel_agg_batches},
+        StatField{"kernel.agg_scalar_batches", &S::scalar_agg_batches},
+        StatField{"kernel.selection_compactions", &S::selection_compactions},
+        StatField{"kernel.range_skipped_rows", &S::range_skipped_rows}};
   }
 };
 

@@ -2,7 +2,8 @@
 #define DEX_IO_IO_STATS_H_
 
 #include <cstdint>
-#include <string>
+
+#include "common/stat_fields.h"
 
 namespace dex {
 
@@ -19,29 +20,25 @@ struct IoStats {
   uint64_t sim_nanos = 0;          // simulated elapsed I/O time
   uint64_t read_faults = 0;        // injected read failures (see FaultInjector)
 
-  IoStats& operator+=(const IoStats& o) {
-    disk_bytes_read += o.disk_bytes_read;
-    cached_bytes_read += o.cached_bytes_read;
-    bytes_written += o.bytes_written;
-    seeks += o.seeks;
-    sim_nanos += o.sim_nanos;
-    read_faults += o.read_faults;
-    return *this;
+  /// Every counter with its metric name (common/stat_fields.h).
+  static constexpr auto Fields() {
+    using S = IoStats;
+    return std::tuple{StatField{"io.disk_bytes_read", &S::disk_bytes_read},
+                      StatField{"io.cached_bytes_read", &S::cached_bytes_read},
+                      StatField{"io.bytes_written", &S::bytes_written},
+                      StatField{"io.seeks", &S::seeks},
+                      StatField{"io.sim_nanos", &S::sim_nanos},
+                      StatField{"io.read_faults", &S::read_faults}};
   }
 
   /// Component-wise difference (for snapshot/diff measurement windows).
   IoStats Since(const IoStats& earlier) const {
     IoStats d;
-    d.disk_bytes_read = disk_bytes_read - earlier.disk_bytes_read;
-    d.cached_bytes_read = cached_bytes_read - earlier.cached_bytes_read;
-    d.bytes_written = bytes_written - earlier.bytes_written;
-    d.seeks = seeks - earlier.seeks;
-    d.sim_nanos = sim_nanos - earlier.sim_nanos;
-    d.read_faults = read_faults - earlier.read_faults;
+    ForEachStatField(Fields(), [&](const auto& f) {
+      d.*f.member = this->*f.member - earlier.*f.member;
+    });
     return d;
   }
-
-  std::string ToString() const;
 };
 
 }  // namespace dex

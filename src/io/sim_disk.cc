@@ -8,16 +8,6 @@
 
 namespace dex {
 
-std::string IoStats::ToString() const {
-  std::string out = "disk_read=" + FormatBytes(disk_bytes_read) +
-                    " cached_read=" + FormatBytes(cached_bytes_read) +
-                    " written=" + FormatBytes(bytes_written) + " seeks=" +
-                    std::to_string(seeks) + " sim_time=" +
-                    std::to_string(sim_nanos / 1000000.0) + "ms";
-  if (read_faults > 0) out += " faults=" + std::to_string(read_faults);
-  return out;
-}
-
 thread_local uint64_t* SimDisk::tls_sim_nanos_sink_ = nullptr;
 thread_local uint64_t* SimDisk::tls_query_sink_ = nullptr;
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/stat_fields.h"
 #include "common/status.h"
 #include "io/sim_disk.h"
 #include "net/sim_network.h"
@@ -67,6 +68,25 @@ class ShardedRepository {
     uint64_t net_bytes = 0;
     uint64_t net_sim_nanos = 0;
     uint64_t net_resends = 0;
+
+    /// The link counters with their per-shard metric names, published
+    /// labeled {shard=N} (common/stat_fields.h).
+    static constexpr auto Fields() {
+      using S = SliceStats;
+      return std::tuple{StatField{"shard.net_messages", &S::net_messages},
+                        StatField{"shard.net_bytes", &S::net_bytes},
+                        StatField{"shard.net_sim_nanos", &S::net_sim_nanos},
+                        StatField{"shard.net_resends", &S::net_resends}};
+    }
+    /// The same counters summed over every shard, published unlabeled.
+    static constexpr auto TotalFields() {
+      using S = SliceStats;
+      return std::tuple{
+          StatField{"shard.net_messages_total", &S::net_messages},
+          StatField{"shard.net_bytes_total", &S::net_bytes},
+          StatField{"shard.net_sim_nanos_total", &S::net_sim_nanos},
+          StatField{"shard.net_resends_total", &S::net_resends}};
+    }
   };
 
   /// `disk` is the simulated clock the interconnect charges into; must

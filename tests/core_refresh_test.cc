@@ -329,8 +329,8 @@ TEST(RefreshTest, SnapshotDeltaReopenIsWorkerCountInvariant) {
   EXPECT_EQ((*b)->open_stats().snapshot_files_reused, files->size() - 1);
   EXPECT_GT((*a)->open_stats().sim_io_nanos, 0u);
   EXPECT_EQ((*a)->open_stats().sim_io_nanos, (*b)->open_stats().sim_io_nanos);
-  EXPECT_EQ((*a)->open_stats().scan_serial_sim_nanos,
-            (*b)->open_stats().scan_serial_sim_nanos);
+  EXPECT_EQ((*a)->open_stats().serial_sim_nanos,
+            (*b)->open_stats().serial_sim_nanos);
   EXPECT_EQ(DumpCatalog(a->get()), DumpCatalog(b->get()));
 }
 

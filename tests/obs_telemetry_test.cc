@@ -284,7 +284,7 @@ std::string DeterministicMetricsDigest(const MetricLabels& query_labels,
         "shard.sharded_queries", "shard.net_sim_nanos",
         "shard.files_skipped_shard", "governance.partial_queries",
         "mount.mounts", "mount.records_decoded", "mount.bytes_read",
-        "fault.files_failed", "exec.rows_scanned", "exec.rows_output"}) {
+        "fault.files_failed", "exec.rows_scanned"}) {
     out << name << "=" << m.counter(name) << "\n";
   }
   out << "query.count" << query_labels.Render() << "="
