@@ -200,6 +200,65 @@ void BM_HashAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_HashAggregate)->Arg(100000)->Arg(1000000);
 
+void BM_AggregateOverRunKeyedJoin(benchmark::State& state) {
+  // Stage 2 of a sweep aggregate: a union of mounted 86 400-sample files
+  // (four records each), joined on (uri, record_id) with Q_f's F ⋈ R rows
+  // and grouped by station. range(0) files, two per station.
+  const size_t files = static_cast<size_t>(state.range(0));
+  SimDisk disk;
+  Catalog catalog(&disk);
+  const std::vector<mseed::DecodedRecord> records = DecodedDay();
+  std::vector<TablePtr> mounted;
+  auto qf = std::make_shared<Table>(
+      "Q", std::make_shared<Schema>(Schema({{"uri", DataType::kString, "Q"},
+                                            {"record_id", DataType::kInt64, "Q"},
+                                            {"station", DataType::kString, "Q"}})));
+  std::vector<PlanPtr> branches;
+  for (size_t f = 0; f < files; ++f) {
+    const std::string uri = "/repo/f" + std::to_string(f) + ".mseed";
+    auto table = std::make_shared<Table>("D", MakeDataSchema());
+    (void)AppendFileToDataTable(uri, records, table.get());
+    mounted.push_back(table);
+    for (size_t r = 0; r < records.size(); ++r) {
+      (void)qf->AppendRow({Value::String(uri),
+                           Value::Int64(static_cast<int64_t>(r)),
+                           Value::String("S" + std::to_string(f / 2))});
+    }
+    branches.push_back(MakeMount("D", std::to_string(f)));
+  }
+  (void)catalog.AddTable(std::make_shared<Table>("D", MakeDataSchema()),
+                         TableKind::kActual);
+  (void)catalog.AddTable(qf, TableKind::kMetadata);
+  const ExprPtr v = Expr::ColumnRef("D.sample_value");
+  PlanPtr plan = MakeAggregate(
+      {Expr::ColumnRef("Q.station")},
+      {{AggFunc::kCount, nullptr, "n"},
+       {AggFunc::kAvg, v, "a"},
+       {AggFunc::kMin, v, "lo"},
+       {AggFunc::kMax, v, "hi"}},
+      MakeJoin(Expr::And(Expr::Compare(CompareOp::kEq, Expr::ColumnRef("D.uri"),
+                                       Expr::ColumnRef("Q.uri")),
+                         Expr::Compare(CompareOp::kEq,
+                                       Expr::ColumnRef("D.record_id"),
+                                       Expr::ColumnRef("Q.record_id"))),
+               MakeUnion(std::move(branches)), MakeScan("Q")));
+  (void)AnalyzePlan(plan, catalog);
+  for (auto _ : state) {
+    ExecContext ctx;
+    ctx.catalog = &catalog;
+    ctx.charge_io = false;
+    ctx.mount_fn = [&](const std::string&, const std::string& uri,
+                       const ExprPtr&) -> Result<TablePtr> {
+      return mounted[std::stoul(uri)];
+    };
+    auto result = ExecutePlan(plan, &ctx);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(files) *
+                          86400);
+}
+BENCHMARK(BM_AggregateOverRunKeyedJoin)->Arg(8);
+
 void BM_PredicateEvaluation(benchmark::State& state) {
   const TablePtr t = MakeProbeTable(static_cast<size_t>(state.range(0)), 64);
   Batch batch;

@@ -530,13 +530,14 @@ std::string QueryStats::ToString() const {
     Appendf(&out,
             "kernels: filter %llu vectorized / %llu scalar, "
             "join %llu run-keyed / %llu row, "
-            "agg %llu vectorized / %llu scalar, %llu compactions, "
-            "%llu rows skipped by time range\n",
+            "agg %llu vectorized (%llu run-folded) / %llu scalar, "
+            "%llu compactions, %llu rows skipped by time range\n",
             static_cast<ull>(ex.kernel_filter_batches),
             static_cast<ull>(ex.scalar_filter_batches),
             static_cast<ull>(ex.kernel_join_batches),
             static_cast<ull>(ex.scalar_join_batches),
             static_cast<ull>(ex.kernel_agg_batches),
+            static_cast<ull>(ex.agg_run_batches),
             static_cast<ull>(ex.scalar_agg_batches),
             static_cast<ull>(ex.selection_compactions),
             static_cast<ull>(ex.range_skipped_rows));

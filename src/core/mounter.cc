@@ -184,11 +184,10 @@ Result<TablePtr> Mounter::Mount(const std::string& table_name,
     }
     // Harvest the record's value zone. A sparsely decoded record holds only
     // the samples its zone let through; that zone is already in the store.
+    // The store computes a record's values only when it does not hold them.
     if (zone_maps_ != nullptr && !rec.sparse) {
-      const kernel::NumericAgg agg =
-          kernel::AggI32(rec.samples.data(), rec.samples.size());
       zone_maps_->RecordMounted(
-          uri, static_cast<int64_t>(i), {agg.min, agg.max, agg.sum, agg.count},
+          uri, static_cast<int64_t>(i), [&rec] { return RecordValues(rec); },
           rec.frame_stats.empty() ? nullptr : &rec.frame_stats,
           static_cast<uint32_t>(decoded.size()));
     }

@@ -125,7 +125,6 @@ Result<mseed::ScanResult> Stage1Scanner::Scan(const std::string& root,
 
   DEX_ASSIGN_OR_RETURN(std::vector<std::string> uris,
                        format_->EnumerateFiles(root));
-  stats->files_enumerated = uris.size();
 
   // (Re)partition the enumerated catalog across the shards *before* any
   // assignment is read: Open, every Refresh, and the queries running against

@@ -70,7 +70,6 @@ struct Stage1Options {
 /// stalled (bench_refresh's speedup). Warnings (quarantines) merge in
 /// enumeration order.
 struct Stage1Stats : AdmissionStats, Warnings {
-  size_t files_enumerated = 0;  // files the format adapter listed
   size_t files_scanned = 0;     // headers physically parsed this scan
   size_t files_reused = 0;      // metadata served from the baseline
   size_t files_added = 0;       // scanned files the registry did not know

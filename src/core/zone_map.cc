@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "core/seismic_schema.h"
+#include "engine/kernel.h"
 #include "io/byte_codec.h"
 #include "io/file_io.h"
 #include "obs/flight_recorder.h"
@@ -140,7 +141,8 @@ Status ZoneMapStore::ScanFinished() {
 }
 
 void ZoneMapStore::RecordMounted(
-    const std::string& uri, int64_t record_id, const RecordValueStats& values,
+    const std::string& uri, int64_t record_id,
+    const std::function<RecordValueStats()>& values,
     const std::vector<mseed::Steim1::FrameStat>* frames,
     uint32_t expected_records) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -158,10 +160,32 @@ void ZoneMapStore::RecordMounted(
     return;
   }
   RecordZone zone;
-  zone.values = values;
+  zone.values = values();
   if (frames != nullptr) zone.frames = *frames;
   fz.records.emplace(record_id, std::move(zone));
   dirty_ = true;
+}
+
+RecordValueStats RecordValues(const mseed::DecodedRecord& rec) {
+  if (rec.frame_stats.empty()) {
+    const kernel::NumericAgg agg =
+        kernel::AggI32(rec.samples.data(), rec.samples.size());
+    return {agg.min, agg.max, agg.sum, agg.count};
+  }
+  // The harvested frames tile the record's samples, so their stats and the
+  // sum the decode took with them fold into the record's without a second
+  // pass over the samples.
+  int32_t lo = 0;
+  int32_t hi = 0;
+  uint64_t count = 0;
+  for (const mseed::Steim1::FrameStat& fs : rec.frame_stats) {
+    if (fs.count == 0) continue;  // all padding
+    lo = count == 0 ? fs.min : std::min(lo, fs.min);
+    hi = count == 0 ? fs.max : std::max(hi, fs.max);
+    count += fs.count;
+  }
+  return {static_cast<double>(lo), static_cast<double>(hi),
+          static_cast<double>(rec.samples_sum), count};
 }
 
 std::unique_ptr<mseed::RecordPruner> ZoneMapStore::MakePruner(

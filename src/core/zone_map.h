@@ -2,6 +2,7 @@
 #define DEX_CORE_ZONE_MAP_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,6 +25,11 @@ struct RecordValueStats {
   double sum = 0;
   uint64_t count = 0;
 };
+
+/// The value zone of a fully decoded record: folded from the frame stats
+/// its decode harvested, or computed from its samples when it harvested
+/// none (Steim2, tscsv). Both give the same zone.
+RecordValueStats RecordValues(const mseed::DecodedRecord& rec);
 
 /// \brief The one store of per-record statistics: per-record and
 /// per-Steim-frame min/max zone maps, harvested for free while mount decodes
@@ -94,10 +100,21 @@ class ZoneMapStore : public StatsCollector {
   /// when the decode harvested them (null otherwise); `expected_records` is
   /// the file's record count as the mount saw it (stage 1's count wins).
   /// Idempotent per (uri, record_id): a re-mount only adds missing frames.
+  /// `values` gives the record's value zone; it is called, under the
+  /// store's lock, only when the store does not hold the record yet (the
+  /// first harvest wins), so a re-mount computes nothing.
+  void RecordMounted(const std::string& uri, int64_t record_id,
+                     const std::function<RecordValueStats()>& values,
+                     const std::vector<mseed::Steim1::FrameStat>* frames,
+                     uint32_t expected_records);
+  /// Same, with the values at hand.
   void RecordMounted(const std::string& uri, int64_t record_id,
                      const RecordValueStats& values,
                      const std::vector<mseed::Steim1::FrameStat>* frames,
-                     uint32_t expected_records);
+                     uint32_t expected_records) {
+    RecordMounted(uri, record_id, [&values] { return values; }, frames,
+                  expected_records);
+  }
 
   // Query side ----------------------------------------------------------
 

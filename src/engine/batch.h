@@ -10,6 +10,16 @@
 
 namespace dex {
 
+class Table;
+
+/// One run of equal join keys in a join → aggregate hand-off batch (see
+/// Batch): the physical rows from the previous run's end (0 for the first
+/// run) up to `end`, and the build row they matched (-1: none).
+struct KeyRun {
+  uint32_t end;
+  int64_t build_row;
+};
+
 /// \brief The unit of data flowing between physical operators: a horizontal
 /// chunk of rows, stored column-wise, with an optional selection vector.
 ///
@@ -48,12 +58,35 @@ namespace dex {
 ///  - num_rows() is always the *logical* row count. Code indexing columns
 ///    positionally must use physical row indices (via `selection[i]` when
 ///    has_selection).
+///
+/// ## Sources
+///
+/// A mount branch emits its admitted table as one batch that shares the
+/// table's columns, however many rows it has. Scans, result-scans and
+/// cache-scans stream fresh copies of at most kBatchSize rows.
+///
+/// ## Join → aggregate hand-off
+///
+/// A run-keyed join whose aggregate asked for it (DESIGN.md §8.16) emits
+/// *hand-off* batches, marked by a non-null `build`:
+///  - `columns` hold the probe side only, the leading columns of the join's
+///    output schema; the build columns are not filled.
+///  - `selection` holds the matched rows, as on the join's other batches.
+///  - `runs` split the physical rows into runs of equal join keys, in
+///    order; a run's `build_row` indexes `build` and stands for the build
+///    columns of all its rows. An unmatched run has no selected row.
+///  - `build` is the join's build table, owned by the join, which outlives
+///    its consumer's processing of the batch.
+/// Only the aggregate that asked for them ever reads such batches.
 struct Batch {
   SchemaPtr schema;
   std::vector<ColumnPtr> columns;
   /// Physical row indices logically present; see contract above.
   std::vector<uint32_t> selection;
   bool has_selection = false;
+  /// Set on join → aggregate hand-off batches only; see above.
+  const Table* build = nullptr;
+  std::vector<KeyRun> runs;
 
   /// Logical rows: selection size when filtered, physical size otherwise.
   size_t num_rows() const {

@@ -95,8 +95,7 @@ Result<TablePtr> Drain(PhysOp* op, const std::string& name) {
 
 /// Streams a materialized table in kBatchSize chunks: every row, or only the
 /// rows of the ranges a subclass restricted it to (a batch may span
-/// ranges). The workhorse behind scan, result-scan, cache-scan and
-/// (post-ingestion) mount.
+/// ranges). The workhorse behind scan, result-scan and cache-scan.
 class TableSourceOp : public PhysOp {
  public:
   TableSourceOp(SchemaPtr schema, TablePtr table)
@@ -179,12 +178,15 @@ class ScanOp : public TableSourceOp {
 /// Open. The callback owns extraction/transformation (the core library
 /// mounts a union's files before the plan runs and hands each table out
 /// here); failures (e.g. the file vanished between stage 1 and stage 2)
-/// surface as query errors.
-class MountOp : public TableSourceOp {
+/// surface as query errors. The table leaves as one batch that shares its
+/// columns: the same Column objects, so no dictionary gains a holder and
+/// Table::ByteSize, which splits a shared dictionary between its holders,
+/// reads the same as when nothing streams the table.
+class MountOp : public PhysOp {
  public:
   MountOp(SchemaPtr schema, std::string table_name, std::string uri,
           ExprPtr fused_predicate, ExecContext* ctx)
-      : TableSourceOp(std::move(schema), nullptr),
+      : PhysOp(std::move(schema)),
         table_name_(std::move(table_name)),
         uri_(std::move(uri)),
         fused_predicate_(std::move(fused_predicate)),
@@ -201,11 +203,25 @@ class MountOp : public TableSourceOp {
     return Status::OK();
   }
 
+  Result<bool> Next(Batch* out) override {
+    if (done_ || table_->num_rows() == 0) return false;
+    done_ = true;
+    Batch whole;
+    whole.schema = schema_;
+    for (size_t c = 0; c < table_->num_columns(); ++c) {
+      whole.columns.push_back(table_->column(c));
+    }
+    *out = std::move(whole);
+    return true;
+  }
+
  private:
   std::string table_name_;
   std::string uri_;
   ExprPtr fused_predicate_;
   ExecContext* ctx_;
+  TablePtr table_;
+  bool done_ = false;
 };
 
 /// The cache-scan access path. `filter` is the bound predicate of the Filter
@@ -431,18 +447,21 @@ Result<bool> FilterJoined(const kernel::PredicateSelector& residual,
 ///    for runs of equal keys, translates each string code once per distinct
 ///    code and looks each run up once. The output shares the probe columns,
 ///    marks matched rows with a selection vector (none when all matched) and
-///    fills the build columns run by run.
+///    fills the build columns run by run — or, for the aggregate directly
+///    above that asked for its key runs (`hand_off_runs`) when there is no
+///    residual, hands over the runs instead of filling (engine/batch.h).
 ///  - Row at a time (everything else, and kernels off): hashes, compares and
 ///    gathers every matched row into fresh columns. It is the run-keyed
 ///    path's reference twin and returns the same rows in the same order.
 class HashJoinOp : public PhysOp {
  public:
   HashJoinOp(SchemaPtr schema, JoinKeys keys, PhysOpPtr left, PhysOpPtr right,
-             ExecContext* ctx)
+             bool hand_off_runs, ExecContext* ctx)
       : PhysOp(std::move(schema)),
         keys_(std::move(keys)),
         left_(std::move(left)),
         right_(std::move(right)),
+        hand_off_(hand_off_runs),
         ctx_(ctx) {}
 
   Status Open() override {
@@ -453,6 +472,7 @@ class HashJoinOp : public PhysOp {
     DEX_RETURN_NOT_OK(right_->Open());
     DEX_ASSIGN_OR_RETURN(build_, Drain(right_.get(), "join_build"));
     run_keyed_ = ctx_->use_simd_kernels && RunKeyedShape() && IndexRunKeys();
+    hand_off_ = hand_off_ && run_keyed_ && !residual_.has_value();
     if (run_keyed_) return Status::OK();
     // Evaluate build-side key columns over the whole build table at once.
     Batch all;
@@ -576,14 +596,6 @@ class HashJoinOp : public PhysOp {
   };
   static constexpr int32_t kUnresolved = -2;
 
-  /// One probe run [begin, end) of equal keys and the build row it matched
-  /// (-1: none).
-  struct Run {
-    uint32_t begin;
-    uint32_t end;
-    int64_t build_row;
-  };
-
   /// Looks up the keys of probe row `row`; -1 when no build row matches.
   int64_t LookupRun(const Batch& in, size_t row) {
     const size_t nk = keys_.left_exprs.size();
@@ -620,7 +632,8 @@ class HashJoinOp : public PhysOp {
   /// looks each run up once. Returns whether any run matched.
   bool FindRuns(const Batch& in) {
     runs_.clear();
-    for (size_t k = 0; k < keys_.left_exprs.size(); ++k) {
+    const size_t nk = keys_.left_exprs.size();
+    for (size_t k = 0; k < nk; ++k) {
       const ColumnPtr& col = in.columns[keys_.left_exprs[k]->column_index()];
       CodeMap& map = code_maps_[k];
       if (col->type() == DataType::kString &&
@@ -630,29 +643,48 @@ class HashJoinOp : public PhysOp {
       }
     }
     const size_t n = in.physical_rows();
+    // A run ends where the first of its key columns changes. Each column
+    // keeps the end of its own current run and is scanned again only once
+    // a run starts there, so a batch reads every key column once.
+    key_run_ends_.assign(nk, 0);
     bool any = false;
     for (size_t begin = 0; begin < n;) {
-      // Each key column narrows the run its predecessors allowed.
       size_t end = n;
-      for (const ExprPtr& e : keys_.left_exprs) {
-        const Column& col = *in.columns[e->column_index()];
-        size_t i = begin + 1;
-        if (col.type() == DataType::kString) {
-          const int32_t* codes = col.codes();
-          while (i < end && codes[i] == codes[begin]) ++i;
-        } else {
-          const int64_t* vals = col.data_i64();
-          while (i < end && vals[i] == vals[begin]) ++i;
+      for (size_t k = 0; k < nk; ++k) {
+        if (key_run_ends_[k] <= begin) {
+          key_run_ends_[k] =
+              RunEnd(*in.columns[keys_.left_exprs[k]->column_index()], begin, n);
         }
-        end = i;
+        end = std::min(end, key_run_ends_[k]);
       }
       const int64_t row = LookupRun(in, begin);
       any = any || row >= 0;
-      runs_.push_back(
-          {static_cast<uint32_t>(begin), static_cast<uint32_t>(end), row});
+      runs_.push_back({static_cast<uint32_t>(end), row});
       begin = end;
     }
     return any;
+  }
+
+  /// End of the run of values equal to row `begin`'s in `col`, within n.
+  static size_t RunEnd(const Column& col, size_t begin, size_t n) {
+    return col.type() == DataType::kString
+               ? RunEnd(col.codes(), begin, n)
+               : RunEnd(col.data_i64(), begin, n);
+  }
+  template <typename T>
+  static size_t RunEnd(const T* v, size_t begin, size_t n) {
+    constexpr size_t kBlock = 16;
+    const T x = v[begin];
+    size_t i = begin + 1;
+    // Runs span thousands of rows: test whole blocks branch-free (the loop
+    // vectorizes), then find the first difference inside the last one.
+    for (; i + kBlock <= n; i += kBlock) {
+      bool differs = false;
+      for (size_t j = 0; j < kBlock; ++j) differs |= v[i + j] != x;
+      if (differs) break;
+    }
+    while (i < n && v[i] == x) ++i;
+    return i;
   }
 
   Result<bool> NextRunKeyed(Batch* out) {
@@ -664,8 +696,16 @@ class HashJoinOp : public PhysOp {
         return false;
       }
       ctx_->stats.kernel_join_batches += 1;
+      // Build columns are filled for every physical row. A mounted table
+      // arrives whole, so under a selective filter most of its rows are
+      // unselected: gather the selected ones first and fill only theirs.
+      if (!hand_off_ && in.has_selection && in.physical_rows() > kBatchSize &&
+          in.selection.size() * 2 < in.physical_rows()) {
+        in.Compact();
+        ctx_->stats.selection_compactions += 1;
+      }
       if (in.num_rows() == 0 || !FindRuns(in)) continue;
-      const auto matched = [](const Run& run) { return run.build_row >= 0; };
+      const auto matched = [](const KeyRun& run) { return run.build_row >= 0; };
       Batch joined;
       joined.schema = schema_;
       joined.columns = in.columns;  // shared per the selection contract
@@ -683,12 +723,21 @@ class HashJoinOp : public PhysOp {
         }
         if (joined.selection.empty()) continue;
       } else {
-        for (const Run& run : runs_) {
-          if (!matched(run)) continue;
-          for (uint32_t row = run.begin; row < run.end; ++row) {
-            joined.selection.push_back(row);
+        uint32_t begin = 0;
+        for (const KeyRun& run : runs_) {
+          if (matched(run)) {
+            for (uint32_t row = begin; row < run.end; ++row) {
+              joined.selection.push_back(row);
+            }
           }
+          begin = run.end;
         }
+      }
+      if (hand_off_) {
+        joined.build = build_.get();
+        joined.runs = runs_;
+        *out = std::move(joined);
+        return true;
       }
       // Build columns cover every physical row. An unmatched run repeats
       // the previous matched run's row (the first matched one for leading
@@ -700,13 +749,14 @@ class HashJoinOp : public PhysOp {
         col->Reserve(in.physical_rows());
         joined.columns.push_back(std::move(col));
       }
-      for (const Run& run : runs_) {
+      uint32_t begin = 0;
+      for (const KeyRun& run : runs_) {
         if (matched(run)) fill = run.build_row;
         for (size_t c = 0; c < build_->num_columns(); ++c) {
           joined.columns[first_build + c]->AppendRepeat(
-              *build_->column(c), static_cast<size_t>(fill),
-              run.end - run.begin);
+              *build_->column(c), static_cast<size_t>(fill), run.end - begin);
         }
+        begin = run.end;
       }
       if (residual_.has_value()) {
         std::vector<uint32_t> kept;
@@ -789,6 +839,9 @@ class HashJoinOp : public PhysOp {
   JoinKeys keys_;
   PhysOpPtr left_;
   PhysOpPtr right_;
+  // Asked for by the aggregate above; from Open on, whether the batches
+  // are hand-off batches (engine/batch.h).
+  bool hand_off_;
   ExecContext* ctx_;
   std::optional<kernel::PredicateSelector> residual_;
   TablePtr build_;
@@ -805,7 +858,8 @@ class HashJoinOp : public PhysOp {
   std::vector<int64_t> run_keys_;  // build row r's key tuple at r * #keys
   std::vector<CodeMap> code_maps_;  // per key; unused for integer keys
   std::vector<int64_t> probe_key_;  // scratch: one run's translated keys
-  std::vector<Run> runs_;           // scratch: the batch's runs
+  std::vector<KeyRun> runs_;        // scratch: the batch's runs
+  std::vector<size_t> key_run_ends_;  // scratch: per key, its run's end
 };
 
 /// Index nested-loop join against a persistent, indexed base table: the Ei
@@ -931,7 +985,7 @@ class HashAggOp : public PhysOp {
         ctx_(ctx) {}
 
   Status Open() override {
-    kernel_mode_ = ctx_->use_simd_kernels && KernelEligible();
+    kernel_mode_ = ctx_->use_simd_kernels && KernelEligible(groups_, args_);
     if (kernel_mode_) ShareAccumulators();
     return child_->Open();
   }
@@ -947,21 +1001,21 @@ class HashAggOp : public PhysOp {
     return Emit(out);
   }
 
- private:
   /// The kernel path covers the dominant shapes: GROUP BY nothing or one
   /// dictionary-encoded string column, aggregating plain numeric columns
   /// (or COUNT(*)). Anything else — computed keys, multi-column groups,
   /// string aggregates — keeps the Value-based interpreter.
-  bool KernelEligible() const {
-    if (groups_.size() > 1) return false;
-    if (groups_.size() == 1) {
-      const ExprPtr& g = groups_[0];
+  static bool KernelEligible(const std::vector<ExprPtr>& groups,
+                             const std::vector<ExprPtr>& args) {
+    if (groups.size() > 1) return false;
+    if (groups.size() == 1) {
+      const ExprPtr& g = groups[0];
       if (g->kind() != ExprKind::kColumnRef || g->column_index() < 0 ||
           g->output_type() != DataType::kString) {
         return false;
       }
     }
-    for (const ExprPtr& a : args_) {
+    for (const ExprPtr& a : args) {
       if (a == nullptr) continue;  // COUNT(*)
       if (a->kind() != ExprKind::kColumnRef || a->column_index() < 0) {
         return false;
@@ -975,6 +1029,26 @@ class HashAggOp : public PhysOp {
     return true;
   }
 
+  /// Whether the aggregate can fold a join's key runs (engine/batch.h)
+  /// instead of filled batches: it runs on the kernels, every group key is
+  /// a build-side column and every argument a probe-side one, the probe
+  /// side being the join input's first `probe_width` columns.
+  static bool TakesKeyRuns(const std::vector<ExprPtr>& groups,
+                           const std::vector<ExprPtr>& args,
+                           size_t probe_width) {
+    if (!KernelEligible(groups, args)) return false;
+    for (const ExprPtr& g : groups) {
+      if (static_cast<size_t>(g->column_index()) < probe_width) return false;
+    }
+    for (const ExprPtr& a : args) {
+      if (a != nullptr && static_cast<size_t>(a->column_index()) >= probe_width) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
   /// Aggregates over the same argument column share one accumulator, so
   /// AVG, MIN and MAX of a column take one pass. COUNT needs none: it reads
   /// the per-group row count.
@@ -993,7 +1067,6 @@ class HashAggOp : public PhysOp {
   struct KernelAgg {
     std::vector<double> min, max, sum;
     std::vector<int64_t> imin, imax, isum;
-    std::vector<uint64_t> count;
     std::vector<uint8_t> seen;
     void Grow(size_t n) {
       min.resize(n, 0);
@@ -1002,7 +1075,6 @@ class HashAggOp : public PhysOp {
       imin.resize(n, 0);
       imax.resize(n, 0);
       isum.resize(n, 0);
-      count.resize(n, 0);
       seen.resize(n, 0);
     }
   };
@@ -1017,54 +1089,131 @@ class HashAggOp : public PhysOp {
         DEX_ASSIGN_OR_RETURN(more, child_->Next(&in));
         continue;
       }
-      const uint32_t* sel = in.has_selection ? in.selection.data() : nullptr;
-      gid_.resize(rows);
-      if (!groups_.empty()) {
-        // Dictionaries are batch-local (different mounts intern
-        // independently), so codes are grouped per batch and each distinct
-        // code resolves its string to a global slot once — not once per row.
-        const Column& gcol = *in.columns[groups_[0]->column_index()];
-        local_code_to_slot_.clear();
-        local_codes_.clear();
-        kernel::GroupByCodes(gcol.codes(), sel, rows, in.physical_rows(),
-                             &local_code_to_slot_, &local_codes_, gid_.data());
-        local_to_global_.resize(local_codes_.size());
-        for (size_t ls = 0; ls < local_codes_.size(); ++ls) {
-          const std::string& s = gcol.dict()->At(local_codes_[ls]);
-          auto [it, inserted] =
-              group_index_.try_emplace(s, kernel_keys_.size());
-          if (inserted) {
-            kernel_keys_.push_back(Value::String(s));
-            GrowKernelGroups();
-          }
-          local_to_global_[ls] = static_cast<uint32_t>(it->second);
-        }
-        for (size_t r = 0; r < rows; ++r) gid_[r] = local_to_global_[gid_[r]];
+      if (in.build != nullptr) {
+        AccumulateRuns(in);
+        ctx_->stats.agg_run_batches += 1;
       } else {
-        if (kernel_keys_.empty()) {
-          kernel_keys_.emplace_back();  // the single global group
-          GrowKernelGroups();
-        }
-        std::fill(gid_.begin(), gid_.end(), 0u);
-      }
-      for (size_t r = 0; r < rows; ++r) ++group_rows_[gid_[r]];
-      for (size_t i = 0; i < acc_cols_.size(); ++i) {
-        const Column& col = *in.columns[acc_cols_[i]];
-        KernelAgg& k = kernel_aggs_[i];
-        if (col.type() == DataType::kDouble) {
-          kernel::GroupAccumF64(col.data_f64(), sel, rows, gid_.data(),
-                                k.min.data(), k.max.data(), k.sum.data(),
-                                k.count.data(), k.seen.data());
-        } else {
-          kernel::GroupAccumI64(col.data_i64(), sel, rows, gid_.data(),
-                                k.imin.data(), k.imax.data(), k.sum.data(),
-                                k.isum.data(), k.count.data(), k.seen.data());
-        }
+        AccumulateRows(in);
       }
       ctx_->stats.kernel_agg_batches += 1;
       DEX_ASSIGN_OR_RETURN(more, child_->Next(&in));
     }
     return Status::OK();
+  }
+
+  /// Gives each processed row of a filled batch its group slot, then folds
+  /// every maximal run of one slot.
+  void AccumulateRows(const Batch& in) {
+    const size_t rows = in.num_rows();
+    const uint32_t* sel = in.has_selection ? in.selection.data() : nullptr;
+    gid_.resize(rows);
+    if (!groups_.empty()) {
+      // Dictionaries are batch-local (different mounts intern
+      // independently), so codes are grouped per batch and each distinct
+      // code resolves its string to a global slot once — not once per row.
+      const Column& gcol = *in.columns[groups_[0]->column_index()];
+      local_code_to_slot_.clear();
+      local_codes_.clear();
+      kernel::GroupByCodes(gcol.codes(), sel, rows, in.physical_rows(),
+                           &local_code_to_slot_, &local_codes_, gid_.data());
+      local_to_global_.resize(local_codes_.size());
+      for (size_t ls = 0; ls < local_codes_.size(); ++ls) {
+        local_to_global_[ls] = GroupSlot(gcol.dict()->At(local_codes_[ls]));
+      }
+      for (size_t r = 0; r < rows; ++r) gid_[r] = local_to_global_[gid_[r]];
+    } else {
+      std::fill(gid_.begin(), gid_.end(), SingleGroupSlot());
+    }
+    for (size_t r = 0; r < rows; ++r) ++group_rows_[gid_[r]];
+    for (size_t i = 0; i < acc_cols_.size(); ++i) {
+      const Column& col = *in.columns[acc_cols_[i]];
+      KernelAgg& k = kernel_aggs_[i];
+      if (col.type() == DataType::kDouble) {
+        kernel::GroupAccumF64(col.data_f64(), sel, rows, gid_.data(),
+                              k.min.data(), k.max.data(), k.sum.data(),
+                              k.seen.data());
+      } else {
+        kernel::GroupAccumI64(col.data_i64(), sel, rows, gid_.data(),
+                              k.imin.data(), k.imax.data(), k.sum.data(),
+                              k.isum.data(), k.seen.data());
+      }
+    }
+  }
+
+  /// Folds a join's hand-off batch (engine/batch.h): each run's selected
+  /// rows fold into the group of its build row, which is resolved to a slot
+  /// once per build row rather than once per probe row. Runs are visited in
+  /// row order, so slots are assigned, and sums added, in the order
+  /// AccumulateRows would use.
+  void AccumulateRuns(const Batch& in) {
+    const uint32_t* sel = in.has_selection ? in.selection.data() : nullptr;
+    const size_t rows = in.num_rows();
+    if (build_slot_.empty()) build_slot_.assign(in.build->num_rows(), -1);
+    segments_.clear();
+    uint32_t begin = 0;  // processed rows before the current run
+    for (const KeyRun& run : in.runs) {
+      uint32_t end = run.end;
+      if (sel != nullptr) {
+        end = begin;
+        while (end < rows && sel[end] < run.end) ++end;
+      }
+      if (end > begin && run.build_row >= 0) {
+        segments_.push_back({BuildRowSlot(in, run.build_row), begin, end});
+      }
+      begin = end;
+    }
+    for (const Segment& s : segments_) group_rows_[s.slot] += s.end - s.begin;
+    for (size_t i = 0; i < acc_cols_.size(); ++i) {
+      const Column& col = *in.columns[acc_cols_[i]];
+      KernelAgg& k = kernel_aggs_[i];
+      for (const Segment& s : segments_) {
+        if (col.type() == DataType::kDouble) {
+          kernel::FoldRunF64(col.data_f64(), sel, s.begin, s.end,
+                             &k.min[s.slot], &k.max[s.slot], &k.sum[s.slot],
+                             &k.seen[s.slot]);
+        } else {
+          kernel::FoldRunI64(col.data_i64(), sel, s.begin, s.end,
+                             &k.imin[s.slot], &k.imax[s.slot], &k.sum[s.slot],
+                             &k.isum[s.slot], &k.seen[s.slot]);
+        }
+      }
+    }
+  }
+
+  /// The group slot of a hand-off batch's build row. Group keys are
+  /// build-side, so the probe columns come first in the join's schema.
+  uint32_t BuildRowSlot(const Batch& in, int64_t build_row) {
+    int64_t& slot = build_slot_[static_cast<size_t>(build_row)];
+    if (slot < 0) {
+      if (groups_.empty()) {
+        slot = SingleGroupSlot();
+      } else {
+        const size_t col = static_cast<size_t>(groups_[0]->column_index()) -
+                           in.columns.size();
+        slot = GroupSlot(in.build->column(col)->GetString(
+            static_cast<size_t>(build_row)));
+      }
+    }
+    return static_cast<uint32_t>(slot);
+  }
+
+  /// The global slot of group key `key`, assigned in first-seen order.
+  uint32_t GroupSlot(const std::string& key) {
+    auto [it, inserted] = group_index_.try_emplace(key, kernel_keys_.size());
+    if (inserted) {
+      kernel_keys_.push_back(Value::String(key));
+      GrowKernelGroups();
+    }
+    return static_cast<uint32_t>(it->second);
+  }
+
+  /// Without GROUP BY: the one global slot, made by the first row.
+  uint32_t SingleGroupSlot() {
+    if (kernel_keys_.empty()) {
+      kernel_keys_.emplace_back();
+      GrowKernelGroups();
+    }
+    return 0;
   }
 
   void GrowKernelGroups() {
@@ -1299,6 +1448,14 @@ class HashAggOp : public PhysOp {
   std::vector<int32_t> local_code_to_slot_;
   std::vector<int32_t> local_codes_;
   std::vector<uint32_t> local_to_global_;
+  // Hand-off batches (AccumulateRuns).
+  struct Segment {
+    uint32_t slot;
+    uint32_t begin;  // processed rows [begin, end)
+    uint32_t end;
+  };
+  std::vector<int64_t> build_slot_;  // group slot per build row, -1 unseen
+  std::vector<Segment> segments_;    // batch scratch: each run's rows
 };
 
 // ---------------------------------------------------------------------------
@@ -1505,7 +1662,8 @@ class ProfiledOp : public PhysOp {
 /// Polls `ExecContext::interrupt_fn` once per Open/Next so a cancelled or
 /// deadline-failed query stops between batches instead of running to
 /// completion. The check is one std::function call + an atomic load per
-/// batch (~1024 rows) — negligible against batch processing cost.
+/// batch (up to kBatchSize rows, or one mounted file) — negligible against
+/// batch processing cost.
 class InterruptCheckOp : public PhysOp {
  public:
   InterruptCheckOp(PhysOpPtr inner, const ExecContext* ctx)
@@ -1531,9 +1689,12 @@ class InterruptCheckOp : public PhysOp {
 // ---------------------------------------------------------------------------
 
 /// `filter`, when set, is the bound predicate of the Filter directly above
-/// `plan`; a cache-scan restricts itself with it.
+/// `plan`; a cache-scan restricts itself with it. `key_runs` says that the
+/// Aggregate directly above folds key runs (HashAggOp::TakesKeyRuns); a
+/// hash join then hands them over when its data allows.
 Result<PhysOpPtr> BuildOp(const PlanPtr& plan, ExecContext* ctx,
-                          const ExprPtr& filter = nullptr);
+                          const ExprPtr& filter = nullptr,
+                          bool key_runs = false);
 
 /// Ei fast path: Join(left, Scan(t)) or Join(left, Filter(Scan(t))) where t
 /// has an index exactly matching the right-side equi-key columns.
@@ -1568,7 +1729,7 @@ Result<PhysOpPtr> TryBuildIndexJoin(const PlanPtr& plan, const JoinKeys& keys,
 }
 
 Result<PhysOpPtr> BuildOpInner(const PlanPtr& plan, ExecContext* ctx,
-                               const ExprPtr& filter) {
+                               const ExprPtr& filter, bool key_runs) {
   switch (plan->kind) {
     case PlanKind::kScan: {
       DEX_ASSIGN_OR_RETURN(TablePtr table, ctx->catalog->GetTable(plan->table_name));
@@ -1620,11 +1781,12 @@ Result<PhysOpPtr> BuildOpInner(const PlanPtr& plan, ExecContext* ctx,
       DEX_ASSIGN_OR_RETURN(PhysOpPtr left, BuildOp(plan->children[0], ctx));
       DEX_ASSIGN_OR_RETURN(PhysOpPtr right, BuildOp(plan->children[1], ctx));
       return PhysOpPtr(new HashJoinOp(plan->output_schema, std::move(keys),
-                                      std::move(left), std::move(right), ctx));
+                                      std::move(left), std::move(right),
+                                      key_runs, ctx));
     }
     case PlanKind::kAggregate: {
-      DEX_ASSIGN_OR_RETURN(PhysOpPtr child, BuildOp(plan->children[0], ctx));
-      const Schema& input = *plan->children[0]->output_schema;
+      const PlanPtr& input_plan = plan->children[0];
+      const Schema& input = *input_plan->output_schema;
       std::vector<ExprPtr> groups;
       for (const ExprPtr& g : plan->group_by) {
         DEX_ASSIGN_OR_RETURN(ExprPtr b, g->Bind(input));
@@ -1639,6 +1801,13 @@ Result<PhysOpPtr> BuildOpInner(const PlanPtr& plan, ExecContext* ctx,
           args.push_back(nullptr);
         }
       }
+      const bool key_runs =
+          ctx->use_simd_kernels && input_plan->kind == PlanKind::kJoin &&
+          HashAggOp::TakesKeyRuns(
+              groups, args,
+              input_plan->children[0]->output_schema->num_fields());
+      DEX_ASSIGN_OR_RETURN(PhysOpPtr child,
+                           BuildOp(input_plan, ctx, nullptr, key_runs));
       return PhysOpPtr(new HashAggOp(plan->output_schema, std::move(groups),
                                      plan->aggregates, std::move(args),
                                      std::move(child), ctx));
@@ -1668,8 +1837,8 @@ Result<PhysOpPtr> BuildOpInner(const PlanPtr& plan, ExecContext* ctx,
 }
 
 Result<PhysOpPtr> BuildOp(const PlanPtr& plan, ExecContext* ctx,
-                          const ExprPtr& filter) {
-  DEX_ASSIGN_OR_RETURN(PhysOpPtr op, BuildOpInner(plan, ctx, filter));
+                          const ExprPtr& filter, bool key_runs) {
+  DEX_ASSIGN_OR_RETURN(PhysOpPtr op, BuildOpInner(plan, ctx, filter, key_runs));
   // StageBreak is transparent (its child is already wrapped); profiling it
   // again would only double the decorator overhead on the same pull path.
   if (ctx->profiler != nullptr && plan->kind != PlanKind::kStageBreak) {

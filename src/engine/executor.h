@@ -31,12 +31,16 @@ struct ExecStats {
   // so kernel_filter_batches falls when a time range restricts the source
   // below the filter (a cache-scan of one window hands it one batch, not
   // the file's). The join counts are probe batches of HashJoinOp:
-  // run-keyed (kernel) vs. row at a time.
+  // run-keyed (kernel) vs. row at a time. agg_run_batches counts the
+  // vectorized aggregate batches that were a run-keyed join's key runs
+  // rather than filled rows (engine/batch.h); they count in
+  // kernel_agg_batches too.
   uint64_t kernel_filter_batches = 0;
   uint64_t scalar_filter_batches = 0;
   uint64_t kernel_join_batches = 0;
   uint64_t scalar_join_batches = 0;
   uint64_t kernel_agg_batches = 0;
+  uint64_t agg_run_batches = 0;
   uint64_t scalar_agg_batches = 0;
   uint64_t selection_compactions = 0;
   // Rows a time range kept out of cache-scans and select-mounts
@@ -58,6 +62,7 @@ struct ExecStats {
         StatField{"kernel.join_batches", &S::kernel_join_batches},
         StatField{"kernel.join_scalar_batches", &S::scalar_join_batches},
         StatField{"kernel.agg_batches", &S::kernel_agg_batches},
+        StatField{"kernel.agg_run_batches", &S::agg_run_batches},
         StatField{"kernel.agg_scalar_batches", &S::scalar_agg_batches},
         StatField{"kernel.selection_compactions", &S::selection_compactions},
         StatField{"kernel.range_skipped_rows", &S::range_skipped_rows}};

@@ -419,12 +419,14 @@ void ForEachGroupRun(const uint32_t* gid, size_t k, Fold fold) {
   }
 }
 
-/// Folds `v` over the processed rows [begin, end) into min/max/sum (and,
-/// for integers, the exact sum) held in registers, adding in row order so
-/// sums equal the row-at-a-time ones.
 template <typename T>
 void FoldRun(const T* v, const uint32_t* sel, size_t begin, size_t end, T* mn,
-             T* mx, double* sum, int64_t* isum) {
+             T* mx, double* sum, int64_t* isum, uint8_t* seen) {
+  if (begin == end) return;
+  if (!*seen) {
+    *seen = 1;
+    *mn = *mx = v[sel != nullptr ? sel[begin] : begin];
+  }
   T lo = *mn, hi = *mx;
   double s = *sum;
   int64_t is = 0;
@@ -447,30 +449,31 @@ void FoldRun(const T* v, const uint32_t* sel, size_t begin, size_t end, T* mn,
 
 }  // namespace
 
+void FoldRunF64(const double* v, const uint32_t* sel, size_t begin, size_t end,
+                double* min, double* max, double* sum, uint8_t* seen) {
+  FoldRun(v, sel, begin, end, min, max, sum, nullptr, seen);
+}
+
+void FoldRunI64(const int64_t* v, const uint32_t* sel, size_t begin,
+                size_t end, int64_t* imin, int64_t* imax, double* sum,
+                int64_t* isum, uint8_t* seen) {
+  FoldRun(v, sel, begin, end, imin, imax, sum, isum, seen);
+}
+
 void GroupAccumF64(const double* v, const uint32_t* sel, size_t k,
                    const uint32_t* gid, double* min, double* max, double* sum,
-                   uint64_t* count, uint8_t* seen) {
+                   uint8_t* seen) {
   ForEachGroupRun(gid, k, [&](uint32_t g, size_t begin, size_t end) {
-    if (!seen[g]) {
-      seen[g] = 1;
-      min[g] = max[g] = v[sel != nullptr ? sel[begin] : begin];
-    }
-    FoldRun(v, sel, begin, end, &min[g], &max[g], &sum[g], nullptr);
-    count[g] += end - begin;
+    FoldRun(v, sel, begin, end, &min[g], &max[g], &sum[g], nullptr, &seen[g]);
   });
 }
 
 void GroupAccumI64(const int64_t* v, const uint32_t* sel, size_t k,
                    const uint32_t* gid, int64_t* imin, int64_t* imax,
-                   double* sum, int64_t* isum, uint64_t* count,
-                   uint8_t* seen) {
+                   double* sum, int64_t* isum, uint8_t* seen) {
   ForEachGroupRun(gid, k, [&](uint32_t g, size_t begin, size_t end) {
-    if (!seen[g]) {
-      seen[g] = 1;
-      imin[g] = imax[g] = v[sel != nullptr ? sel[begin] : begin];
-    }
-    FoldRun(v, sel, begin, end, &imin[g], &imax[g], &sum[g], &isum[g]);
-    count[g] += end - begin;
+    FoldRun(v, sel, begin, end, &imin[g], &imax[g], &sum[g], &isum[g],
+            &seen[g]);
   });
 }
 

@@ -147,21 +147,30 @@ void GroupByCodes(const int32_t* codes, const uint32_t* sel, size_t k,
                   size_t n, std::vector<int32_t>* code_to_group,
                   std::vector<int32_t>* group_codes, uint32_t* out_gid);
 
+/// The one grouped fold: folds `v` over the processed rows [begin, end) —
+/// physical rows, or `sel[begin..end)` when `sel` is set — into one group's
+/// running min/max/sum, held in registers and added in row order, so sums
+/// are bit-identical to a row-at-a-time fold. `*seen` is set by the first
+/// row folded into the group, which seeds min and max.
+void FoldRunF64(const double* v, const uint32_t* sel, size_t begin, size_t end,
+                double* min, double* max, double* sum, uint8_t* seen);
+/// Int64 variant keeps exact integer min/max/sum alongside the double sum
+/// (AVG needs the double; MIN/MAX/SUM of int columns must stay exact).
+void FoldRunI64(const int64_t* v, const uint32_t* sel, size_t begin,
+                size_t end, int64_t* imin, int64_t* imax, double* sum,
+                int64_t* isum, uint8_t* seen);
+
 /// Grouped accumulation: folds `v[row]` into per-group accumulators, where
 /// row r of the processed set has group id `gid[r]`. Accumulator arrays are
 /// parallel, sized `num_groups`; `seen` tracks whether a group already has a
-/// value (min/max seeding). Each maximal run of one group id folds in
-/// registers and adds in row order, so sums are bit-identical to a
-/// row-at-a-time fold; joined rows of D arrive in such runs.
+/// value (min/max seeding). Each maximal run of one group id is one
+/// FoldRun; joined rows of D arrive in such runs.
 void GroupAccumF64(const double* v, const uint32_t* sel, size_t k,
                    const uint32_t* gid, double* min, double* max, double* sum,
-                   uint64_t* count, uint8_t* seen);
-/// Int64 variant keeps exact integer min/max/sum alongside the double sum
-/// (AVG needs the double; MIN/MAX/SUM of int columns must stay exact).
+                   uint8_t* seen);
 void GroupAccumI64(const int64_t* v, const uint32_t* sel, size_t k,
                    const uint32_t* gid, int64_t* imin, int64_t* imax,
-                   double* sum, int64_t* isum, uint64_t* count,
-                   uint8_t* seen);
+                   double* sum, int64_t* isum, uint8_t* seen);
 
 }  // namespace dex::kernel
 

@@ -70,7 +70,7 @@ Result<DecodedRecord> DecodePlanned(const RecordHeader& header,
   Result<std::vector<int32_t>> samples =
       (header.encoding != 2 && plan.harvest)
           ? Steim1::DecodeWithStats(payload, header.num_samples,
-                                    &rec.frame_stats)
+                                    &rec.frame_stats, &rec.samples_sum)
           : DecodePayload(header, payload);
   DEX_RETURN_NOT_OK(samples.status());
   rec.samples = std::move(*samples);

@@ -26,6 +26,7 @@ struct DecodedRecord {
   bool sparse = false;
   std::vector<uint32_t> sample_index;  // parallel to samples when sparse
   std::vector<Steim1::FrameStat> frame_stats;
+  int64_t samples_sum = 0;  // harvested with frame_stats: the samples' sum
 };
 
 /// \brief Per-record decode instruction, produced by a caller-supplied

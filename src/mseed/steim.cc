@@ -169,13 +169,14 @@ Status CheckFrameAlignment(const std::string& data) {
 
 Result<std::vector<int32_t>> Steim1::Decode(const std::string& data,
                                             size_t num_samples) {
-  return DecodeWithStats(data, num_samples, nullptr);
+  return DecodeWithStats(data, num_samples, nullptr, nullptr);
 }
 
 Result<std::vector<int32_t>> Steim1::DecodeWithStats(
     const std::string& data, size_t num_samples,
-    std::vector<FrameStat>* stats) {
+    std::vector<FrameStat>* stats, int64_t* sum) {
   if (stats != nullptr) stats->clear();
+  if (sum != nullptr) *sum = 0;
   if (num_samples == 0) return std::vector<int32_t>{};
   DEX_RETURN_NOT_OK(CheckFrameAlignment(data));
   const int32_t x0 = static_cast<int32_t>(GetWordBE(data, 4));
@@ -199,6 +200,7 @@ Result<std::vector<int32_t>> Steim1::DecodeWithStats(
   }
   if (stats != nullptr) {
     stats->reserve(frame_counts.size());
+    int64_t frames_sum = 0;
     size_t next = 0;  // first sample index of the current frame
     for (size_t f = 0; f < frame_counts.size(); ++f) {
       FrameStat fs;
@@ -207,9 +209,10 @@ Result<std::vector<int32_t>> Steim1::DecodeWithStats(
       fs.entry = (next == 0) ? x0 : samples[next - 1];
       if (fs.count > 0) {
         fs.min = fs.max = samples[next];
-        for (size_t i = next + 1; i < next + fs.count; ++i) {
+        for (size_t i = next; i < next + fs.count; ++i) {
           fs.min = std::min(fs.min, samples[i]);
           fs.max = std::max(fs.max, samples[i]);
+          frames_sum += samples[i];
         }
       } else {
         // An all-padding trailing frame: carry the entry value so the
@@ -219,6 +222,7 @@ Result<std::vector<int32_t>> Steim1::DecodeWithStats(
       next += fs.count;
       stats->push_back(fs);
     }
+    if (sum != nullptr) *sum = frames_sum;
   }
   return samples;
 }

@@ -52,11 +52,12 @@ class Steim1 {
   static Result<std::vector<int32_t>> Decode(const std::string& data,
                                              size_t num_samples);
 
-  /// Like Decode, but additionally fills one FrameStat per 64-byte frame —
-  /// the same pass, no extra traversal. `stats` is cleared first.
+  /// Like Decode, but additionally fills one FrameStat per 64-byte frame
+  /// and `*sum` with the sum of the samples — the same pass, no extra
+  /// traversal. `stats` is cleared first.
   static Result<std::vector<int32_t>> DecodeWithStats(
       const std::string& data, size_t num_samples,
-      std::vector<FrameStat>* stats);
+      std::vector<FrameStat>* stats, int64_t* sum);
 
   /// Selective decode: unpacks only the frames with `keep[f]` set, resuming
   /// each from `stats[f].entry`, and appends (sample index, value) pairs to

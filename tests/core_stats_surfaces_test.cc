@@ -155,6 +155,7 @@ governance.files_skipped_memory 0
 governance.mem_budget_evictions 0
 governance.partial_queries 1
 kernel.agg_batches 14
+kernel.agg_run_batches 13
 kernel.agg_scalar_batches 0
 kernel.filter_batches 0
 kernel.filter_scalar_batches 5

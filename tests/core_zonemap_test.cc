@@ -25,6 +25,8 @@
 #include <vector>
 
 #include "core/database.h"
+#include "core/zone_map.h"
+#include "engine/kernel.h"
 #include "io/file_io.h"
 #include "mseed/reader.h"
 #include "mseed/writer.h"
@@ -143,6 +145,54 @@ TEST(ZoneMapProperty, SelectivePredicateActuallyPrunes) {
 
 // A negative bound is parsed as `0 - n`; the binder folds it to a literal,
 // so it lowers to the kernels and prunes like a positive one.
+// A mount folds a record's zone from the frame stats its decode harvested
+// instead of passing over the samples again; the zone must be the pass's.
+TEST(ZoneHarvest, FoldedFrameZoneEqualsTheSamplePass) {
+  // Quiet stretches broken by jumps near the int32 extremes: 32-bit
+  // differences leave some frames a single sample.
+  std::vector<int32_t> gaps;
+  for (int i = 0; i < 400; ++i) {
+    gaps.push_back(i % 97 == 0   ? 2000000000
+                   : i % 89 == 0 ? -2000000000
+                                 : i % 7 - 3);
+  }
+  std::vector<int32_t> ramp;
+  for (int i = 0; i < 250; ++i) ramp.push_back(1000 - 3 * i);
+  struct Case {
+    const char* name;
+    std::vector<int32_t> samples;
+    bool padding_frame;
+  };
+  const Case cases[] = {{"one sample", {-17}, false},
+                        {"gaps", gaps, false},
+                        {"ends in a padding frame", ramp, true}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string payload = mseed::Steim1::Encode(c.samples);
+    if (c.padding_frame) payload.append(mseed::Steim1::kFrameBytes, '\0');
+    mseed::DecodedRecord rec;
+    auto samples = mseed::Steim1::DecodeWithStats(
+        payload, c.samples.size(), &rec.frame_stats, &rec.samples_sum);
+    ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+    rec.samples = std::move(*samples);
+    ASSERT_EQ(rec.samples, c.samples);
+    ASSERT_FALSE(rec.frame_stats.empty());
+    EXPECT_EQ(rec.frame_stats.back().count == 0, c.padding_frame);
+    const RecordValueStats folded = RecordValues(rec);
+    const kernel::NumericAgg pass =
+        kernel::AggI32(rec.samples.data(), rec.samples.size());
+    EXPECT_EQ(folded.min, pass.min);
+    EXPECT_EQ(folded.max, pass.max);
+    EXPECT_EQ(folded.sum, pass.sum);
+    EXPECT_EQ(folded.count, pass.count);
+    rec.frame_stats.clear();  // what a Steim2 or tscsv decode delivers
+    const RecordValueStats passed = RecordValues(rec);
+    EXPECT_EQ(passed.min, pass.min);
+    EXPECT_EQ(passed.sum, pass.sum);
+    EXPECT_EQ(passed.count, pass.count);
+  }
+}
+
 TEST(ZoneMapProperty, NegativeBoundPrunesAndEqualsUnpruned) {
   mseed::GeneratorOptions gen = SmallRepoOptions();
   gen.event_probability = 0.3;

@@ -148,6 +148,9 @@ class JoinKernelTest : public ::testing::Test {
     ctx.cache_fn = [this](const std::string&, const std::string&) {
       return Result<TablePtr>(probe_);
     };
+    // A mount's uri names the catalog table it hands out.
+    ctx.mount_fn = [this](const std::string&, const std::string& uri,
+                          const ExprPtr&) { return catalog_.GetTable(uri); };
     Run out;
     EXPECT_TRUE(AnalyzePlan(plan, catalog_).ok());
     auto result = ExecutePlan(plan, &ctx);
@@ -290,6 +293,199 @@ TEST_F(JoinKernelTest, ProbedCacheTableKeepsItsByteSize) {
                MakeScan("BF")),
       true);
   EXPECT_GT(run.stats.kernel_join_batches, 0u);
+  EXPECT_EQ(probe_->ByteSize(), before);
+}
+
+// -- Aggregates that fold the join's key runs ---------------------------------
+
+/// COUNT(*) and every aggregate of P's double, int64 and timestamp columns.
+PlanPtr AggregateAll(std::vector<std::string> groups, PlanPtr child) {
+  std::vector<ExprPtr> keys;
+  for (const std::string& g : groups) keys.push_back(Col(g));
+  std::vector<AggSpec> aggs = {{AggFunc::kCount, nullptr, "n"}};
+  for (const char* arg : {"P.v", "P.rid", "P.t"}) {
+    for (AggFunc fn : {AggFunc::kSum, AggFunc::kAvg, AggFunc::kMin,
+                       AggFunc::kMax}) {
+      aggs.push_back({fn, Col(arg), std::string(AggFuncToString(fn)) + arg});
+    }
+  }
+  return MakeAggregate(std::move(keys), std::move(aggs), std::move(child));
+}
+
+/// Keeps every joined row, so the aggregate above reads filled batches.
+PlanPtr KeepAll(PlanPtr join) {
+  return MakeFilter(Expr::Compare(CompareOp::kGe, Col("P.rid"),
+                                  Expr::Lit(Value::Int64(0))),
+                    std::move(join));
+}
+
+struct AggShape {
+  const char* name;
+  std::vector<std::string> groups;
+  std::function<PlanPtr()> join;
+  bool folds;  // kernel mode hands the join's runs to the aggregate
+};
+
+TEST_F(JoinKernelTest, RunFoldedAggregatesAreBitIdenticalToFilledAndRowPaths) {
+  // Values whose sums round, so any change of summation order shows.
+  auto rounding = std::make_shared<Table>("Q", ProbeSchema("P"));
+  const std::pair<const char*, int64_t> runs[] = {
+      {"u1", 0}, {"u1", 1}, {"u2", 0}, {"u9", 0}, {"u3", 0}, {"u1", 2}};
+  for (const auto& [uri, rid] : runs) {
+    for (int i = 0; i < 1500; ++i) {
+      const double row = static_cast<double>(rounding->num_rows());
+      ASSERT_TRUE(rounding
+                      ->AppendRow({Value::String(uri), Value::Int64(rid),
+                                   Value::Timestamp(7 * rid + i),
+                                   Value::Double(0.1 * row + 1.0 / (row + 3))})
+                      .ok());
+    }
+  }
+  Add(rounding, TableKind::kActual);
+  const auto uri_rid = [](const std::string& build) {
+    return Expr::And(Eq("P.uri", build + ".uri"), Eq("P.rid", build + ".rid"));
+  };
+  const std::vector<AggShape> shapes = {
+      {"build-side string group key", {"BF.station"},
+       [] { return MakeJoin(Eq("P.uri", "BF.uri"), MakeScan("P"), MakeScan("BF")); },
+       true},
+      {"no group", {},
+       [&] { return MakeJoin(uri_rid("BR"), MakeScan("P"), MakeScan("BR")); },
+       true},
+      {"rounding sums over mounted tables, runs outside Q_f", {"BR.uri"},
+       [&] {
+         return MakeJoin(uri_rid("BR"), MakeUnion({MakeMount("P", "Q")}),
+                         MakeScan("BR"));
+       },
+       true},
+      {"incoming selection", {"BR.uri"},
+       [&] {
+         return MakeJoin(uri_rid("BR"),
+                         MakeFilter(Expr::Compare(CompareOp::kGt, Col("P.v"),
+                                                  Expr::Lit(Value::Double(-600.5))),
+                                    MakeCacheScan("P", "u")),
+                         MakeScan("BR"));
+       },
+       true},
+      {"selective filter over a mounted table", {"BR.uri"},
+       [&] {
+         return MakeJoin(uri_rid("BR"),
+                         MakeFilter(Expr::Compare(CompareOp::kLt, Col("P.v"),
+                                                  Expr::Lit(Value::Double(-900.0))),
+                                    MakeUnion({MakeMount("P", "P")})),
+                         MakeScan("BR"));
+       },
+       true},
+      {"groups spanning mounted branches", {"BF.station"},
+       [] {
+         return MakeJoin(Eq("P.uri", "BF.uri"),
+                         MakeUnion({MakeMount("P", "Q"), MakeMount("P", "P2"),
+                                    MakeMount("P", "P")}),
+                         MakeScan("BF"));
+       },
+       true},
+      {"empty input, grouped", {"BEmpty.station"},
+       [] {
+         return MakeJoin(Eq("P.uri", "BEmpty.uri"), MakeScan("P"),
+                         MakeScan("BEmpty"));
+       },
+       false},
+      {"empty input, no group", {},
+       [] {
+         return MakeJoin(Eq("P.uri", "BEmpty.uri"), MakeScan("P"),
+                         MakeScan("BEmpty"));
+       },
+       false},
+  };
+  for (const AggShape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    const Run row = Execute(AggregateAll(shape.groups, shape.join()), false);
+    const Run filled =
+        Execute(AggregateAll(shape.groups, KeepAll(shape.join())), true);
+    const Run fold = Execute(AggregateAll(shape.groups, shape.join()), true);
+    EXPECT_EQ(filled.rows, row.rows);
+    EXPECT_EQ(fold.rows, row.rows);
+    EXPECT_EQ(fold.schema, row.schema);
+    EXPECT_EQ(row.stats.agg_run_batches, 0u);
+    EXPECT_EQ(filled.stats.agg_run_batches, 0u);
+    EXPECT_EQ(fold.stats.scalar_agg_batches, 0u);
+    if (shape.folds) {
+      EXPECT_GT(fold.stats.agg_run_batches, 0u);
+      // Hand-off batches still count as join and aggregate batches.
+      EXPECT_EQ(fold.stats.agg_run_batches, fold.stats.kernel_agg_batches);
+      EXPECT_EQ(fold.stats.kernel_agg_batches, filled.stats.kernel_agg_batches);
+      EXPECT_EQ(fold.stats.kernel_join_batches,
+                filled.stats.kernel_join_batches);
+    } else {
+      EXPECT_EQ(fold.stats.agg_run_batches, 0u);
+    }
+  }
+}
+
+TEST_F(JoinKernelTest, RefusedHandOffsKeepTheFilledPath) {
+  const auto scan_p = [] { return MakeScan("P"); };
+  const std::vector<AggShape> shapes = {
+      {"residual", {"BF.station"},
+       [&] {
+         return MakeJoin(
+             Expr::And(Eq("P.uri", "BF.uri"),
+                       Expr::Compare(CompareOp::kLt, Col("P.v"),
+                                     Expr::Lit(Value::Double(-420.25)))),
+             scan_p(), MakeScan("BF"));
+       },
+       false},
+      {"duplicate build keys", {"BDup.tag"},
+       [&] { return MakeJoin(Eq("P.uri", "BDup.uri"), scan_p(), MakeScan("BDup")); },
+       false},
+      {"probe-side group key", {"P.uri"},
+       [&] { return MakeJoin(Eq("P.uri", "BF.uri"), scan_p(), MakeScan("BF")); },
+       false},
+      {"two group keys", {"BF.station", "BF.uri"},
+       [&] { return MakeJoin(Eq("P.uri", "BF.uri"), scan_p(), MakeScan("BF")); },
+       false},
+  };
+  for (const AggShape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    const Run row = Execute(AggregateAll(shape.groups, shape.join()), false);
+    const Run run = Execute(AggregateAll(shape.groups, shape.join()), true);
+    EXPECT_FALSE(run.rows.empty());
+    EXPECT_EQ(run.rows, row.rows);
+    EXPECT_EQ(run.stats.agg_run_batches, 0u);
+  }
+}
+
+TEST_F(JoinKernelTest, SelectiveFilterOverAMountedTableIsGatheredBeforeTheFill) {
+  // P arrives as one 12 738-row batch; the filter keeps its first 400 rows.
+  const auto plan = [] {
+    return MakeJoin(Eq("P.uri", "BF.uri"),
+                    MakeFilter(Expr::Compare(CompareOp::kLt, Col("P.v"),
+                                             Expr::Lit(Value::Double(-900.0))),
+                               MakeUnion({MakeMount("P", "P")})),
+                    MakeScan("BF"));
+  };
+  const Run row = Execute(plan(), false);
+  const Run run = Execute(plan(), true);
+  EXPECT_EQ(run.rows, row.rows);
+  EXPECT_EQ(std::count(run.rows.begin(), run.rows.end(), '\n'), 400);
+  EXPECT_EQ(run.stats.kernel_join_batches, 1u);
+  EXPECT_EQ(run.stats.selection_compactions, 1u);
+}
+
+TEST_F(JoinKernelTest, MountBranchIsOneBatchSharingItsTable) {
+  const uint64_t before = probe_->ByteSize();
+  const Run run = Execute(
+      MakeJoin(Eq("P.uri", "BF.uri"),
+               MakeUnion({MakeMount("P", "P"), MakeMount("P", "P2")}),
+               MakeScan("BF")),
+      true);
+  // One probe batch per mounted table, although P holds 12 738 rows.
+  EXPECT_EQ(run.stats.kernel_join_batches, 2u);
+  EXPECT_EQ(run.stats.files_mounted, 2u);
+  EXPECT_EQ(run.rows, Execute(MakeJoin(Eq("P.uri", "BF.uri"),
+                                       MakeUnion({MakeScan("P"), MakeScan("P2")}),
+                                       MakeScan("BF")),
+                              false)
+                          .rows);
   EXPECT_EQ(probe_->ByteSize(), before);
 }
 

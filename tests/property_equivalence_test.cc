@@ -17,8 +17,11 @@ using ::dex::testing::CanonicalRows;
 using ::dex::testing::ScopedRepo;
 using ::dex::testing::SmallRepoOptions;
 
-/// Generates a random exploration query over the F/R/D schema.
-std::string GenerateQuery(Random* rng) {
+/// Generates a random exploration query over the F/R/D schema. `extended`
+/// adds the aggregate shapes a run-folding aggregate takes or refuses:
+/// MIN/MAX of the int-backed D.sample_time, SUM(D.sample_value), a
+/// build-side F.channel group and a probe-side D.record_id group.
+std::string GenerateQuery(Random* rng, bool extended) {
   const char* stations[] = {"ISK", "ANK", "IZM", "NOPE"};
   const char* channels[] = {"BHE", "BHN", "BHZ"};
   const char* days[] = {"2010-01-01", "2010-01-02", "2010-01-03"};
@@ -63,7 +66,8 @@ std::string GenerateQuery(Random* rng) {
   }
 
   std::string select;
-  switch (rng->Uniform(4)) {
+  std::string group;
+  switch (rng->Uniform(extended ? 7 : 4)) {
     case 0:
       select = "SELECT COUNT(*) ";
       break;
@@ -74,15 +78,30 @@ std::string GenerateQuery(Random* rng) {
       select =
           "SELECT F.station, MIN(D.sample_value) AS lo, "
           "MAX(D.sample_value) AS hi ";
+      group = "F.station";
+      break;
+    case 3:
+      select = "SELECT F.station, COUNT(*) AS n ";
+      group = "F.station";
+      break;
+    case 4:
+      select =
+          "SELECT MIN(D.sample_time), MAX(D.sample_time), "
+          "SUM(D.sample_value), COUNT(*) ";
+      break;
+    case 5:
+      select =
+          "SELECT F.channel, MIN(D.sample_time) AS t0, "
+          "MAX(D.sample_time) AS t1, SUM(D.sample_value) AS s ";
+      group = "F.channel";
       break;
     default:
-      select = "SELECT F.station, COUNT(*) AS n ";
+      select = "SELECT D.record_id, COUNT(*) AS n, SUM(D.sample_value) AS s ";
+      group = "D.record_id";
       break;
   }
   std::string tail;
-  if (select.find("F.station") != std::string::npos) {
-    tail = "GROUP BY F.station ORDER BY F.station ";
-  }
+  if (!group.empty()) tail = "GROUP BY " + group + " ORDER BY " + group + " ";
 
   std::string sql = select + from;
   for (size_t i = 0; i < where.size(); ++i) {
@@ -104,16 +123,19 @@ class RandomizedEquivalence : public ::testing::TestWithParam<int> {
     ei_ = new std::unique_ptr<Database>(std::move(*ei));
 
     // A spread of lazy configurations that must all agree.
-    static const char* kLabels[] = {"default", "no-pushdown", "strategy-b",
-                                    "cache-all", "tuple-cache", "batched"};
+    static const char* kLabels[] = {"default",   "no-pushdown", "strategy-b",
+                                    "cache-all", "tuple-cache", "batched",
+                                    "kernels-off"};
     labels_ = kLabels;
-    std::vector<DatabaseOptions> configs(6);
+    std::vector<DatabaseOptions> configs(7);
     configs[1].two_stage.push_selection_into_union = false;
     configs[2].two_stage.distribute_join_over_union = true;
     configs[3].cache.policy = CachePolicy::kAll;
     configs[4].cache.policy = CachePolicy::kAll;
     configs[4].cache.granularity = CacheGranularity::kTuple;
     configs[5].two_stage.mount_batch_size = 2;
+    // The row-at-a-time twin the benchmark's reference database runs.
+    configs[6].two_stage.pruning.use_simd_kernels = false;
     alis_ = new std::vector<std::unique_ptr<Database>>();
     for (DatabaseOptions& o : configs) {
       o.mode = IngestionMode::kLazy;
@@ -144,7 +166,8 @@ const char* const* RandomizedEquivalence::labels_ = nullptr;
 
 TEST_P(RandomizedEquivalence, AllConfigurationsAgreeWithEager) {
   Random rng(static_cast<uint64_t>(GetParam()) * 7919 + 13);
-  const std::string sql = GenerateQuery(&rng);
+  // Seeds from 24 on also generate the extended aggregate shapes.
+  const std::string sql = GenerateQuery(&rng, /*extended=*/GetParam() >= 24);
   auto expected = (*ei_)->Query(sql);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString() << "\n" << sql;
   const auto expected_rows = CanonicalRows(*expected->table);
@@ -157,7 +180,7 @@ TEST_P(RandomizedEquivalence, AllConfigurationsAgreeWithEager) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedEquivalence, ::testing::Range(0, 24));
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedEquivalence, ::testing::Range(0, 40));
 
 }  // namespace
 }  // namespace dex
