@@ -1,12 +1,22 @@
 #include "core/coverage.h"
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/seismic_schema.h"
 
 namespace dex {
 
 namespace {
+
+struct RecordWindow {
+  int64_t start_ms;
+  int64_t end_ms;
+  double sample_rate_hz;
+};
 
 SchemaPtr MakeCoverageSchema(const char* table, const char* start_name,
                              const char* end_name) {
@@ -30,31 +40,36 @@ SchemaPtr MakeOverlapsSchema() {
   return MakeCoverageSchema(kOverlapsTableName, "overlap_start", "overlap_end");
 }
 
-void CoverageCollector::ScanStarted(const std::string& root) {
-  (void)root;
-  // Each scan pass redelivers the whole repository (reused files included),
-  // so the previous pass's picture is simply replaced.
-  std::lock_guard<std::mutex> lock(mu_);
-  streams_.clear();
-}
+Result<CoverageStats> DeriveCoverage(Catalog* catalog) {
+  DEX_ASSIGN_OR_RETURN(TablePtr f, catalog->GetTable(kFileTableName));
+  DEX_ASSIGN_OR_RETURN(TablePtr r, catalog->GetTable(kRecordTableName));
+  const Column& f_uri = *f->column(0);
+  const Column& f_station = *f->column(2);
+  const Column& f_channel = *f->column(3);
+  const Column& r_uri = *r->column(0);
+  const Column& r_start = *r->column(2);
+  const Column& r_end = *r->column(3);
+  const Column& r_rate = *r->column(4);
 
-void CoverageCollector::FileScanned(
-    const mseed::FileMeta& file,
-    const std::vector<mseed::RecordMeta>& records) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& windows = streams_[{file.station, file.channel}];
-  for (const mseed::RecordMeta& r : records) {
-    windows.push_back({r.start_time_ms, r.end_time_ms, r.sample_rate_hz});
-  }
-}
-
-Result<CoverageStats> CoverageCollector::Publish(Catalog* catalog) const {
-  // Snapshot under the lock; sort and derive outside it.
+  // (station, channel) -> record windows; ordered so the stream iteration
+  // (and therefore GAPS/OVERLAPS row order) is deterministic. Every F row
+  // keys its stream, and its uri's code in R's dictionary points at it.
   std::map<std::pair<std::string, std::string>, std::vector<RecordWindow>>
       streams;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    streams = streams_;
+  std::vector<std::vector<RecordWindow>*> by_code(r_uri.dict()->size(),
+                                                  nullptr);
+  for (size_t i = 0; i < f->num_rows(); ++i) {
+    std::vector<RecordWindow>* windows =
+        &streams[{f_station.GetString(i), f_channel.GetString(i)}];
+    const int32_t code = r_uri.dict()->Find(f_uri.GetString(i));
+    if (code >= 0) by_code[static_cast<size_t>(code)] = windows;
+  }
+  for (size_t i = 0; i < r->num_rows(); ++i) {
+    std::vector<RecordWindow>* windows =
+        by_code[static_cast<size_t>(r_uri.GetStringCode(i))];
+    if (windows == nullptr) continue;
+    windows->push_back(
+        {r_start.GetInt64(i), r_end.GetInt64(i), r_rate.GetDouble(i)});
   }
 
   auto gaps = std::make_shared<Table>(kGapsTableName, MakeGapsSchema());

@@ -1,14 +1,9 @@
 #ifndef DEX_CORE_COVERAGE_H_
 #define DEX_CORE_COVERAGE_H_
 
-#include <map>
-#include <mutex>
-#include <string>
-#include <utility>
-#include <vector>
+#include <cstdint>
 
 #include "common/result.h"
-#include "core/stats_collector.h"
 #include "storage/catalog.h"
 
 namespace dex {
@@ -27,51 +22,22 @@ struct CoverageStats {
   int64_t total_overlap_ms = 0;
 };
 
-/// \brief Accumulates per-stream record windows from stage-1 scan events
-/// and, on demand, derives GAPS/OVERLAPS tables into a catalog.
+/// \brief Derives GAPS/OVERLAPS from `catalog`'s F and R tables and
+/// registers both in `catalog` (replacing earlier versions).
 ///
 /// Unlike the DM value statistics (which require mounting), gaps and
-/// overlaps derive purely from the *given* metadata: the record windows the
-/// stage-1 scan delivers. The collector rebuilds its picture on every scan
-/// pass (ScanStarted clears; every file — including baseline-reused ones —
-/// is redelivered), so after Open() or Refresh() it always reflects the
-/// whole repository. Publish() then computes, per (station, channel) stream,
+/// overlaps derive purely from the *given* metadata: each F row names its
+/// file's (station, channel) stream, and R holds every record's window.
+/// Per stream, windows taken in R row order are sorted by start time, and
 ///  - GAPS(station, channel, gap_start, gap_end, duration_ms): intervals
 ///    with no recorded data between consecutive records,
 ///  - OVERLAPS(station, channel, overlap_start, overlap_end, duration_ms):
 ///    intervals covered by more than one record (duplicate acquisition),
-/// and registers/replaces both as metadata tables, so the explorer can
-/// query them in SQL without touching a single file. Tolerance: a break
-/// shorter than one sample interval is not a gap.
-///
-/// Thread-safe: scan passes (single-threaded per the collector contract)
-/// may run concurrently with Publish() from another session's
-/// AnalyzeCoverage call.
-class CoverageCollector : public StatsCollector {
- public:
-  std::string name() const override { return "coverage"; }
-
-  void ScanStarted(const std::string& root) override;
-  void FileScanned(const mseed::FileMeta& file,
-                   const std::vector<mseed::RecordMeta>& records) override;
-
-  /// Derives GAPS/OVERLAPS from the accumulated windows and registers them
-  /// in `catalog` (replacing earlier versions).
-  Result<CoverageStats> Publish(Catalog* catalog) const;
-
- private:
-  struct RecordWindow {
-    int64_t start_ms;
-    int64_t end_ms;
-    double sample_rate_hz;
-  };
-
-  mutable std::mutex mu_;
-  // (station, channel) -> record windows; ordered so Publish's stream
-  // iteration (and therefore GAPS/OVERLAPS row order) is deterministic.
-  std::map<std::pair<std::string, std::string>, std::vector<RecordWindow>>
-      streams_;
-};
+/// so the explorer can query them in SQL without touching a single file.
+/// Tolerance: a break shorter than one sample interval is not a gap. A
+/// file without records still counts its stream. `catalog` is the caller's
+/// private clone of an epoch, so the result reflects exactly that epoch.
+Result<CoverageStats> DeriveCoverage(Catalog* catalog);
 
 SchemaPtr MakeGapsSchema();
 SchemaPtr MakeOverlapsSchema();

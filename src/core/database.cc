@@ -192,26 +192,17 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
   // stage1_threads). With a metadata snapshot ("instant-on"), unchanged
   // files skip the header parse entirely — the snapshot is the baseline.
   const uint64_t t0 = NowNanos();
-  // Stats collectors (core/stats_collector.h). Coverage and the
-  // informativeness index are always on — metadata-only, cheap. Zone maps
-  // per options; persisted zone maps are restored *before* the scan so
-  // FileScanned can drop entries whose file identity changed (safety-ladder
-  // step 1). They must all exist before the Open scan to see its events.
-  db->coverage_ = std::make_unique<CoverageCollector>();
-  db->info_index_ = std::make_unique<InformativenessIndex>();
+  // Zone maps per options; persisted ones are restored before the scan, and
+  // the scan's files then drop the entries whose file identity changed
+  // (safety-ladder step 1).
   if (options.collect_zone_maps) {
     db->zone_maps_ = std::make_unique<ZoneMapStore>();
     if (!options.zone_map_path.empty()) {
       DEX_RETURN_NOT_OK(db->zone_maps_->Load(options.zone_map_path));
     }
   }
-  StatsCollectorSet scan_collectors;
-  scan_collectors.Register(db->coverage_.get());
-  scan_collectors.Register(db->info_index_.get());
-  scan_collectors.Register(db->zone_maps_.get());
   db->stage1_ = std::make_unique<Stage1Scanner>(
-      db->format_.get(), db->registry_.get(), db->pool_.get(),
-      scan_collectors);
+      db->format_.get(), db->registry_.get(), db->pool_.get());
   mseed::ScanResult baseline;
   bool have_baseline = false;
   if (!options.metadata_snapshot_path.empty() &&
@@ -232,6 +223,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
       mseed::ScanResult scan,
       db->stage1_->Scan(repo_root, have_baseline ? &baseline : nullptr, sopts,
                         &db->open_stats_));
+  if (db->zone_maps_ != nullptr) db->zone_maps_->Reconcile(scan.files);
   if (!options.metadata_snapshot_path.empty()) {
     DEX_RETURN_NOT_OK(SaveSnapshot(scan, options.metadata_snapshot_path));
   }
@@ -278,15 +270,13 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
   // Freeze the built catalog as epoch 0 and wire up the executors.
   db->epochs_ = std::make_unique<EpochManager>(std::move(catalog));
   db->pinned_latest_ = db->epochs_->Pin();
-  db->initial_epoch_ = db->pinned_latest_;
   db->mounter_ = std::make_unique<Mounter>(
       db->registry_.get(), db->cache_.get(), db->zone_maps_.get(),
       db->format_.get(), options.two_stage.on_mount_error,
       options.two_stage.retry);
   db->two_stage_ = std::make_unique<TwoStageExecutor>(
-      db->initial_epoch_->catalog.get(), db->registry_.get(), db->cache_.get(),
-      db->mounter_.get(), db->zone_maps_.get(), options.two_stage,
-      db->pool_.get(), db->info_index_.get());
+      db->registry_.get(), db->cache_.get(), db->mounter_.get(),
+      db->zone_maps_.get(), db->pool_.get());
   db->open_stats_.sim_io_nanos = db->disk_->stats().sim_nanos;
   PublishOpenMetrics(db->open_stats_);
   PublishIoMetrics(db->disk_->stats());
@@ -355,7 +345,7 @@ Result<QueryResult> Database::RunQuery(const std::string& sql,
   TwoStageOptions effective;
   {
     std::lock_guard<std::mutex> lock(options_mu_);
-    effective = two_stage_->options();
+    effective = options_.two_stage;
   }
   if (options.sim_deadline_nanos) {
     effective.sim_deadline_nanos = *options.sim_deadline_nanos;
@@ -619,23 +609,23 @@ Result<QueryResult> Database::Query(const std::string& sql,
 
 void Database::set_sim_deadline_nanos(uint64_t nanos) {
   std::lock_guard<std::mutex> lock(options_mu_);
-  two_stage_->mutable_options()->sim_deadline_nanos = nanos;
+  options_.two_stage.sim_deadline_nanos = nanos;
 }
 
 void Database::set_wall_deadline_nanos(uint64_t nanos) {
   std::lock_guard<std::mutex> lock(options_mu_);
-  two_stage_->mutable_options()->wall_deadline_nanos = nanos;
+  options_.two_stage.wall_deadline_nanos = nanos;
 }
 
 void Database::set_memory_budget_bytes(uint64_t bytes) {
   std::lock_guard<std::mutex> lock(options_mu_);
-  two_stage_->mutable_options()->memory_budget_bytes = bytes;
+  options_.two_stage.memory_budget_bytes = bytes;
   memory_budget_->set_limit(bytes);
 }
 
 void Database::set_on_resource_exhausted(OnResourceExhausted policy) {
   std::lock_guard<std::mutex> lock(options_mu_);
-  two_stage_->mutable_options()->on_resource_exhausted = policy;
+  options_.two_stage.on_resource_exhausted = policy;
 }
 
 Result<RefreshStats> Database::Refresh() {
@@ -666,7 +656,7 @@ Result<RefreshStats> Database::Refresh() {
   TwoStageOptions ts;
   {
     std::lock_guard<std::mutex> lock(options_mu_);
-    ts = two_stage_->options();
+    ts = options_.two_stage;
   }
   Stage1Options sopts;
   sopts.num_threads = options_.stage1_threads;
@@ -692,6 +682,9 @@ Result<RefreshStats> Database::Refresh() {
                          stage1_->Scan(repo_root_, &baseline, sopts, &stats));
   }
   stats.scan_nanos = NowNanos() - t0;
+  // Zones of changed files and of files gone from the scan go before the
+  // epoch listing the scan's files is published.
+  if (zone_maps_ != nullptr) zone_maps_->Reconcile(scan.files);
 
   // Adopt the merged metadata wholesale: F and R describe exactly what is on
   // disk now (modulo deadline-skipped files held at their stale rows).
@@ -724,8 +717,8 @@ Result<RefreshStats> Database::Refresh() {
   span.AddArg("files_scanned", static_cast<uint64_t>(stats.files_scanned));
   span.AddArg("files_reused", static_cast<uint64_t>(stats.files_reused));
   span.AddArg("epoch", stats.epoch);
-  // The scan may have dropped the zone maps of changed or removed files;
-  // persist the trimmed set when configured.
+  // The reconcile may have dropped the zone maps of changed or removed
+  // files; persist the trimmed set when configured.
   SaveZoneMaps();
   PublishRefreshMetrics(stats);
   PublishIoMetrics(disk_->stats());
@@ -734,12 +727,13 @@ Result<RefreshStats> Database::Refresh() {
 }
 
 Result<CoverageStats> Database::AnalyzeCoverage() {
-  // Copy-on-write like every metadata mutation: derive GAPS/OVERLAPS into a
-  // clone of the latest epoch and publish it. In-flight queries keep their
-  // pinned (possibly GAPS-less) snapshots.
+  // Copy-on-write like every metadata mutation: derive GAPS/OVERLAPS from
+  // the F and R of a clone of the latest epoch, register them in the clone
+  // and publish it. In-flight queries keep their pinned (possibly GAPS-less)
+  // snapshots.
   std::lock_guard<std::mutex> lock(publish_mu_);
   std::unique_ptr<Catalog> next = pinned_latest_->catalog->Clone();
-  DEX_ASSIGN_OR_RETURN(CoverageStats stats, coverage_->Publish(next.get()));
+  DEX_ASSIGN_OR_RETURN(CoverageStats stats, DeriveCoverage(next.get()));
   pinned_latest_ = epochs_->Publish(std::move(next));
   return stats;
 }

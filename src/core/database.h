@@ -14,7 +14,6 @@
 #include "core/eager_loader.h"
 #include "core/file_registry.h"
 #include "core/format_adapter.h"
-#include "core/informativeness.h"
 #include "core/mounter.h"
 #include "core/stage1_scan.h"
 #include "core/zone_map.h"
@@ -361,8 +360,8 @@ class Database {
   /// one. Eager mode would need a data reload and returns NotImplemented.
   Result<RefreshStats> Refresh();
 
-  /// Derives GAPS/OVERLAPS tables from the record metadata (paper §5's
-  /// "analyzed data" kind of derived metadata) and registers them as
+  /// Derives GAPS/OVERLAPS tables from the latest epoch's F and R (paper
+  /// §5's "analyzed data" kind of derived metadata) and registers them as
   /// queryable metadata tables (published as a new epoch, like Refresh).
   /// Re-run after Refresh() to update them.
   Result<CoverageStats> AnalyzeCoverage();
@@ -417,6 +416,8 @@ class Database {
   FormatAdapter* format() { return format_.get(); }
   /// The database-wide worker pool (mount tasks, refresh scan tasks).
   ThreadPool* pool() { return pool_.get(); }
+  /// The options the database was opened with. The runtime setters above
+  /// change `two_stage` under a lock; read it between operations.
   const DatabaseOptions& options() const { return options_; }
 
  private:
@@ -456,10 +457,8 @@ class Database {
   // Database-wide: outlives any one query because cache entries keep their
   // reservations between queries. Created before cache_ is used.
   std::unique_ptr<MemoryBudget> memory_budget_;
-  // Stats collectors fed by the stage-1 scanner (see
-  // core/stats_collector.h); the mounter also harvests into zone_maps_.
-  std::unique_ptr<CoverageCollector> coverage_;
-  std::unique_ptr<InformativenessIndex> info_index_;
+  // Mounts harvest record zones into it; Open and Refresh reconcile it
+  // with each scan's files.
   std::unique_ptr<ZoneMapStore> zone_maps_;
   std::unique_ptr<Mounter> mounter_;
   // The shared worker pool all queries' mount tasks (and refresh scans)
@@ -477,14 +476,10 @@ class Database {
   // Pin on the latest published epoch: backs the raw `catalog()` accessor
   // and is the clone source for the next publish. Never null after Open.
   EpochPtr pinned_latest_;
-  // Pin on epoch 0 for the Database's lifetime: two_stage_ holds a raw
-  // default-catalog pointer into it (unused when every Execute passes a
-  // QueryEnv, but kept valid for direct use).
-  EpochPtr initial_epoch_;
   // Serializes whole refreshes (scan + publish) against each other.
   std::mutex refresh_mu_;
-  // Guards the database-wide TwoStageOptions defaults (runtime setters vs
-  // concurrent queries snapshotting their effective options).
+  // Guards options_.two_stage, the database-wide TwoStageOptions defaults
+  // (runtime setters vs concurrent queries and refreshes snapshotting them).
   std::mutex options_mu_;
 
   OpenStats open_stats_;

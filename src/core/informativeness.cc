@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/time_utils.h"
-#include "io/file_io.h"
+#include "core/seismic_schema.h"
 
 namespace dex {
 
@@ -123,94 +122,126 @@ CachedWindow SummarizeTimeWindow(const ExprPtr& predicate) {
   return window;
 }
 
-Result<BreakpointInfo> EstimateInformativeness(
-    const TablePtr& qf_result, const std::vector<std::string>& files_of_interest,
-    const FileRegistry& registry, const CacheManager* cache,
-    const ExprPtr& d_predicate, const InformativenessModel& model,
-    const InformativenessIndex* index) {
-  BreakpointInfo info;
-  info.files_of_interest = files_of_interest;
+Result<size_t> FirstUriColumn(const Schema& schema) {
+  for (size_t i = 0; i < schema.num_fields(); ++i) {
+    if (schema.field(i).name == "uri") return i;
+  }
+  return Status::Internal(
+      "stage-1 result carries no 'uri' column; files of interest are "
+      "unidentifiable in schema " +
+      schema.ToString());
+}
 
-  const std::string pred_repr =
-      d_predicate == nullptr ? "" : d_predicate->ToString();
-  for (const std::string& uri : files_of_interest) {
-    auto entry = registry.Get(uri);
-    if (!entry.ok()) continue;
-    const int64_t mtime = FileMtimeMillis(uri).ValueOr(entry->mtime_ms);
-    const bool cached =
-        cache != nullptr &&
-        (cache->WouldHit(uri, "", mtime) || cache->WouldHit(uri, pred_repr, mtime));
-    if (cached) {
-      info.files_cached += 1;
-    } else {
-      info.bytes_to_mount += entry->size_bytes;
+namespace {
+
+/// The fraction of a record's [start, end] window inside [lo, hi].
+double WindowFraction(int64_t start_ms, int64_t end_ms, double lo, double hi) {
+  const double start = static_cast<double>(start_ms);
+  const double end = static_cast<double>(end_ms);
+  const double span = std::max(1.0, end - start);
+  const double overlap = std::max(0.0, std::min(hi, end) - std::max(lo, start));
+  return std::min(1.0, overlap / span);
+}
+
+/// Per code of `uri`'s dictionary: whether the rewrite reads that file.
+std::vector<char> FilesRead(const Column& uri,
+                            const std::vector<FileDecision>& decisions) {
+  std::vector<char> read(uri.dict()->size(), 0);
+  for (const FileDecision& d : decisions) {
+    if (d.action == FileDecision::Action::kSkip) continue;
+    const int32_t code = uri.dict()->Find(d.uri);
+    if (code >= 0) read[static_cast<size_t>(code)] = 1;
+  }
+  return read;
+}
+
+}  // namespace
+
+Result<BreakpointInfo> EstimateInformativeness(
+    const TablePtr& qf_result, const std::vector<FileDecision>& decisions,
+    const Catalog& catalog, const ExprPtr& d_predicate,
+    const InformativenessModel& model) {
+  BreakpointInfo info;
+  bool reads_any = false;
+  for (const FileDecision& d : decisions) {
+    switch (d.action) {
+      case FileDecision::Action::kMount:
+        info.bytes_to_mount += d.size_bytes;
+        reads_any = true;
+        break;
+      case FileDecision::Action::kCacheScan:
+        ++info.files_cached;
+        reads_any = true;
+        break;
+      case FileDecision::Action::kSkip:
+        ++info.files_pruned;
+        break;
     }
   }
 
-  // Record-level estimates from Q_f's own output: the stage-1 result carries
-  // R.start_time / R.end_time / R.n_samples for every record of interest.
   double t_lo, t_hi;
   const bool has_window = ExtractBounds(d_predicate, "sample_time", &t_lo, &t_hi);
-  if (qf_result != nullptr) {
-    const Schema& schema = *qf_result->schema();
-    const int n_samples_idx = schema.FindFieldIndex("n_samples");
-    const int start_idx = schema.FindFieldIndex("start_time");
-    const int end_idx = schema.FindFieldIndex("end_time");
-    const int uri_idx = schema.FindFieldIndex("uri");
-    const int record_idx = schema.FindFieldIndex("record_id");
-    if (n_samples_idx >= 0) {
-      // Q_f output can contain duplicate records when several metadata rows
-      // join to the same record; dedupe on (uri, record_id) when available.
-      std::unordered_set<std::string> seen;
-      for (size_t r = 0; r < qf_result->num_rows(); ++r) {
-        if (uri_idx >= 0 && record_idx >= 0) {
-          std::string key =
-              qf_result->column(static_cast<size_t>(uri_idx))->GetString(r) +
-              '\0' +
-              std::to_string(qf_result->column(static_cast<size_t>(record_idx))
-                                 ->GetInt64(r));
-          if (!seen.insert(std::move(key)).second) continue;
-        }
-        const int64_t n =
-            qf_result->column(static_cast<size_t>(n_samples_idx))->GetInt64(r);
-        info.est_rows_to_ingest += static_cast<uint64_t>(n);
-        double frac = 1.0;
-        if (has_window && start_idx >= 0 && end_idx >= 0) {
-          const double start = static_cast<double>(
-              qf_result->column(static_cast<size_t>(start_idx))->GetInt64(r));
-          const double end = static_cast<double>(
-              qf_result->column(static_cast<size_t>(end_idx))->GetInt64(r));
-          const double span = std::max(1.0, end - start);
-          const double overlap =
-              std::max(0.0, std::min(t_hi, end) - std::max(t_lo, start));
-          frac = std::min(1.0, overlap / span);
-        }
-        info.est_result_rows +=
-            static_cast<uint64_t>(frac * static_cast<double>(n));
+  // One record of a file the rewrite reads; `frac` of its rows fall inside
+  // the query's sample_time window.
+  const auto add_record = [&info](int64_t n, double frac) {
+    info.est_rows_to_ingest += static_cast<uint64_t>(n);
+    info.est_result_rows += static_cast<uint64_t>(frac * static_cast<double>(n));
+  };
+
+  const Schema* qf_schema =
+      qf_result == nullptr ? nullptr : qf_result->schema().get();
+  const int n_samples_idx =
+      qf_schema == nullptr ? -1 : qf_schema->FindFieldIndex("n_samples");
+  if (reads_any && n_samples_idx >= 0) {
+    // Record-level estimates from Q_f's own output: the stage-1 result
+    // carries R.start_time / R.end_time / R.n_samples for every record of
+    // interest.
+    DEX_ASSIGN_OR_RETURN(size_t uri_idx, FirstUriColumn(*qf_schema));
+    const auto column = [&qf_result](int idx) -> const Column* {
+      return idx < 0 ? nullptr : qf_result->column(static_cast<size_t>(idx)).get();
+    };
+    const Column& uri = *qf_result->column(uri_idx);
+    const Column& n_samples = *column(n_samples_idx);
+    const Column* record_id = column(qf_schema->FindFieldIndex("record_id"));
+    const Column* start = column(qf_schema->FindFieldIndex("start_time"));
+    const Column* end = column(qf_schema->FindFieldIndex("end_time"));
+    const bool windowed = has_window && start != nullptr && end != nullptr;
+    const std::vector<char> read = FilesRead(uri, decisions);
+    // Q_f output can contain duplicate records when several metadata rows
+    // join to the same record; dedupe on (uri code, record_id) when the
+    // record id is there. Record ids are uint32 record indexes.
+    std::unordered_set<uint64_t> seen;
+    if (record_id != nullptr) seen.reserve(qf_result->num_rows());
+    for (size_t r = 0; r < qf_result->num_rows(); ++r) {
+      const int32_t code = uri.GetStringCode(r);
+      if (!read[static_cast<size_t>(code)]) continue;
+      if (record_id != nullptr) {
+        const uint64_t key =
+            (static_cast<uint64_t>(static_cast<uint32_t>(code)) << 32) |
+            static_cast<uint32_t>(record_id->GetInt64(r));
+        if (!seen.insert(key).second) continue;
       }
+      add_record(n_samples.GetInt64(r),
+                 windowed ? WindowFraction(start->GetInt64(r),
+                                           end->GetInt64(r), t_lo, t_hi)
+                          : 1.0);
     }
-  }
-  if (info.est_rows_to_ingest == 0 && index != nullptr &&
-      !files_of_interest.empty()) {
+  } else if (reads_any) {
     // Q_f carried no record-level columns (the query joined F with D
-    // directly, or skipped metadata altogether). The stage-1 scan indexed
-    // every record's window anyway — one lookup per file of interest.
-    for (const std::string& uri : files_of_interest) {
-      for (const InformativenessIndex::RecordWindow& w :
-           index->WindowsFor(uri)) {
-        info.est_rows_to_ingest += w.num_samples;
-        double frac = 1.0;
-        if (has_window) {
-          const double start = static_cast<double>(w.start_ms);
-          const double end = static_cast<double>(w.end_ms);
-          const double span = std::max(1.0, end - start);
-          const double overlap =
-              std::max(0.0, std::min(t_hi, end) - std::max(t_lo, start));
-          frac = std::min(1.0, overlap / span);
-        }
-        info.est_result_rows +=
-            static_cast<uint64_t>(frac * static_cast<double>(w.num_samples));
-      }
+    // directly, or read no metadata at all): one pass over the R table of
+    // the query's epoch, which lists each record once.
+    DEX_ASSIGN_OR_RETURN(TablePtr r_table, catalog.GetTable(kRecordTableName));
+    const Column& uri = *r_table->column(0);
+    const Column& start = *r_table->column(2);
+    const Column& end = *r_table->column(3);
+    const Column& n_samples = *r_table->column(5);
+    const std::vector<char> read = FilesRead(uri, decisions);
+    for (size_t r = 0; r < r_table->num_rows(); ++r) {
+      if (!read[static_cast<size_t>(uri.GetStringCode(r))]) continue;
+      add_record(n_samples.GetInt64(r),
+                 has_window ? WindowFraction(start.GetInt64(r), end.GetInt64(r),
+                                             t_lo, t_hi)
+                            : 1.0);
     }
   }
 

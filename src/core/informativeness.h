@@ -3,16 +3,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "core/cache_manager.h"
-#include "core/file_registry.h"
-#include "core/stats_collector.h"
 #include "engine/expr.h"
+#include "storage/catalog.h"
 #include "storage/table.h"
 
 namespace dex {
@@ -27,9 +24,9 @@ struct BreakpointInfo {
   /// Handed to BreakpointCallbacks only; TwoStageStats::breakpoint keeps it
   /// empty and counts the files in TwoStageStats::files_of_interest.
   std::vector<std::string> files_of_interest;
-  uint64_t files_cached = 0;       // servable by cache-scan
+  uint64_t files_cached = 0;       // planned as cache-scans
   uint64_t files_pruned = 0;       // skipped via derived metadata
-  uint64_t bytes_to_mount = 0;     // repository bytes ALi will pull
+  uint64_t bytes_to_mount = 0;     // repository bytes the planned mounts read
   uint64_t est_rows_to_ingest = 0; // Σ n_samples over matching records
   uint64_t est_result_rows = 0;    // time-window-overlap scaled estimate
   double est_stage2_seconds = 0.0;
@@ -64,70 +61,37 @@ struct InformativenessModel {
   double ingest_rows_per_sec = 2e7;  // decode+transform throughput
 };
 
-/// \brief Per-file record windows harvested from stage-1 scan events — the
-/// breakpoint estimator's fallback when Q_f carries no record-level columns.
-///
-/// Before the StatsCollector unification the estimator re-scanned the whole
-/// R table per query to find the records of the files of interest; now the
-/// stage-1 scan (which walks every record's metadata anyway) indexes them
-/// per uri as a side effect, and the estimator does one hash lookup per
-/// file. Rebuilt on every scan pass (ScanStarted clears). The estimate is a
-/// cost model, not a result: a query pinned to an older epoch reading a
-/// newer index is acceptable by design.
-class InformativenessIndex : public StatsCollector {
- public:
-  struct RecordWindow {
-    int64_t start_ms = 0;
-    int64_t end_ms = 0;
-    uint32_t num_samples = 0;
-  };
+/// \brief The index of the first column of a stage-1 result's `schema`
+/// named `uri`: F.uri and R.uri agree by the join condition, so the first
+/// one found names the row's file. An error when there is none.
+Result<size_t> FirstUriColumn(const Schema& schema);
 
-  std::string name() const override { return "informativeness"; }
-
-  void ScanStarted(const std::string& root) override {
-    (void)root;
-    std::lock_guard<std::mutex> lock(mu_);
-    windows_.clear();
-  }
-
-  void FileScanned(const mseed::FileMeta& file,
-                   const std::vector<mseed::RecordMeta>& records) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& w = windows_[file.uri];
-    w.clear();
-    w.reserve(records.size());
-    for (const mseed::RecordMeta& r : records) {
-      w.push_back({r.start_time_ms, r.end_time_ms, r.num_samples});
-    }
-  }
-
-  /// The record windows of `uri` (empty when unknown). Copy: the index may
-  /// be rebuilt by a concurrent refresh while the caller iterates.
-  std::vector<RecordWindow> WindowsFor(const std::string& uri) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = windows_.find(uri);
-    return it == windows_.end() ? std::vector<RecordWindow>{} : it->second;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::vector<RecordWindow>> windows_;
+/// \brief What the run-time rewriter decided for one file of interest.
+/// `size_bytes` is the file's registry size: what a mount of it reads.
+struct FileDecision {
+  enum class Action { kMount, kCacheScan, kSkip };
+  std::string uri;
+  Action action = Action::kMount;
+  uint64_t size_bytes = 0;
 };
 
-/// \brief Estimates stage-2 cost and result size from the stage-1 output.
+/// \brief Estimates stage-2 cost and result size from the stage-1 output
+/// and the rewrite's `decisions`.
 ///
-/// Record-level estimates come from R-level columns (start_time, end_time,
-/// n_samples) in `qf_result` when present — the precise record set the query
-/// restricted to. When Q_f does not carry them (e.g. the query joins F
-/// directly with D), the estimator falls back to `index` (the stage-1
-/// harvested per-file record windows, nullable) for the files of interest.
-/// `d_predicate` is the selection that will be pushed into the mounts
-/// (nullable).
+/// The file counts and `bytes_to_mount` are the decisions' own: cache-scans
+/// are `files_cached`, skips `files_pruned`, and mounts add their sizes.
+/// Record-level estimates cover the records of the files the rewrite reads
+/// (pruned files' records leave them). They come from R-level columns
+/// (start_time, end_time, n_samples) in `qf_result` when present — the
+/// precise record set the query restricted to. When Q_f does not carry
+/// n_samples (the query joins F directly with D, or reads no metadata),
+/// they come from one pass over the R table of `catalog`, the query's own
+/// epoch. `d_predicate` is the selection that will be pushed into the
+/// mounts (nullable). `files_of_interest` is left to the caller.
 Result<BreakpointInfo> EstimateInformativeness(
-    const TablePtr& qf_result, const std::vector<std::string>& files_of_interest,
-    const FileRegistry& registry, const CacheManager* cache,
-    const ExprPtr& d_predicate, const InformativenessModel& model,
-    const InformativenessIndex* index = nullptr);
+    const TablePtr& qf_result, const std::vector<FileDecision>& decisions,
+    const Catalog& catalog, const ExprPtr& d_predicate,
+    const InformativenessModel& model);
 
 }  // namespace dex
 

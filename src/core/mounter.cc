@@ -259,8 +259,10 @@ Result<TablePtr> Mounter::Mount(const std::string& table_name,
   // zone-pruned mount: its table deliberately misses non-matching tuples, so
   // caching it (even predicate-tagged) would let window subsumption serve a
   // subset where the full set was promised. Conservative — pruned mounts
-  // simply don't feed the cache.
-  if (cache_ != nullptr && salvage.records_skipped == 0 &&
+  // simply don't feed the cache. A cache that keeps nothing is not offered
+  // anything, so its mounts read no mtime.
+  if (cache_ != nullptr && cache_->options().policy != CachePolicy::kNone &&
+      salvage.records_skipped == 0 &&
       prune_stats.records_skipped == 0 && prune_stats.frames_skipped == 0) {
     const int64_t mtime = FileMtimeMillis(uri).ValueOr(entry.mtime_ms);
     if (cache_->options().granularity == CacheGranularity::kFile) {

@@ -121,7 +121,6 @@ Result<mseed::ScanResult> Stage1Scanner::Scan(const std::string& root,
   DEX_CHECK(stats != nullptr);
   obs::TraceSpan span("stage1_scan", "stage1.scan");
   span.AddArg("root", root);
-  collectors_.ScanStarted(root);
 
   DEX_ASSIGN_OR_RETURN(std::vector<std::string> uris,
                        format_->EnumerateFiles(root));
@@ -340,16 +339,6 @@ Result<mseed::ScanResult> Stage1Scanner::Scan(const std::string& root,
       }
       out.total_bytes += it->second->size_bytes;
       ++stats->files_reused;
-      if (!collectors_.empty()) {
-        // Baseline-reused files are redelivered so collectors always see the
-        // complete repository picture (per the delivery contract).
-        std::vector<mseed::RecordMeta> recs;
-        if (rit != base_records.end()) {
-          recs.reserve(rit->second.size());
-          for (const mseed::RecordMeta* r : rit->second) recs.push_back(*r);
-        }
-        collectors_.FileScanned(*it->second, recs);
-      }
       continue;
     }
     if (plan.task == SIZE_MAX) continue;  // deadline-skipped, no baseline row
@@ -396,21 +385,7 @@ Result<mseed::ScanResult> Stage1Scanner::Scan(const std::string& root,
     out.records.insert(out.records.end(), slot.result.records.begin(),
                        slot.result.records.end());
     out.total_bytes += slot.result.total_bytes;
-    if (!collectors_.empty()) {
-      // Metadata entered the catalog (read-failed files keep theirs too), so
-      // the collectors see it. ScanFile parses one path, but stay general:
-      // deliver per file with that file's records.
-      for (const mseed::FileMeta& f : slot.result.files) {
-        std::vector<mseed::RecordMeta> recs;
-        recs.reserve(slot.result.records.size());
-        for (const mseed::RecordMeta& r : slot.result.records) {
-          if (r.uri == f.uri) recs.push_back(r);
-        }
-        collectors_.FileScanned(f, recs);
-      }
-    }
   }
-  DEX_RETURN_NOT_OK(collectors_.ScanFinished());
   span.AddArg("files_scanned", static_cast<uint64_t>(stats->files_scanned));
   span.AddArg("files_reused", static_cast<uint64_t>(stats->files_reused));
   return out;

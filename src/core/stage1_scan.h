@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -12,9 +11,9 @@
 #include "core/format_adapter.h"
 #include "core/mounter.h"
 #include "core/stats_base.h"
-#include "core/stats_collector.h"
 #include "exec/query_context.h"
 #include "exec/thread_pool.h"
+#include "mseed/scanner.h"
 #include "shard/sharded_repository.h"
 
 namespace dex {
@@ -101,21 +100,16 @@ class Stage1Scanner {
   /// pool (with Stage1Options::priority) instead of a private one, so a
   /// Refresh competes for workers with in-flight queries rather than
   /// oversubscribing the machine. The deterministic time model is unaffected.
-  /// `collectors` receive the stage-1 event stream of every Scan() call
-  /// (see core/stats_collector.h for the delivery contract).
   Stage1Scanner(FormatAdapter* format, FileRegistry* registry,
-                ThreadPool* shared_pool = nullptr,
-                StatsCollectorSet collectors = {})
-      : format_(format),
-        registry_(registry),
-        shared_pool_(shared_pool),
-        collectors_(std::move(collectors)) {}
+                ThreadPool* shared_pool = nullptr)
+      : format_(format), registry_(registry), shared_pool_(shared_pool) {}
 
   /// Scans `root`. `baseline`, when non-null, lets unchanged files (same
   /// size and mtime) skip the header parse and reuse their old metadata.
-  /// Returns the merged repository metadata in enumeration order. Collector
-  /// events (ScanStarted / FileScanned per catalog-entering file /
-  /// ScanFinished) are delivered from this thread, in enumeration order.
+  /// Returns the merged repository metadata in enumeration order: scanned,
+  /// reused and read-failed files, and files a deadline or a dead shard
+  /// skipped that keep their stale baseline row. Parse-quarantined files,
+  /// and skipped files without a baseline row, are not in it.
   Result<mseed::ScanResult> Scan(const std::string& root,
                                  const mseed::ScanResult* baseline,
                                  const Stage1Options& options,
@@ -130,7 +124,6 @@ class Stage1Scanner {
   FileRegistry* registry_;
   ThreadPool* shared_pool_;  // not owned; may be null
   std::unique_ptr<ThreadPool> pool_;
-  StatsCollectorSet collectors_;
 };
 
 }  // namespace dex

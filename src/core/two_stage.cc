@@ -411,22 +411,8 @@ class Stage2Admission {
 
 Result<std::vector<std::string>> TwoStageExecutor::FilesOfInterest(
     const TablePtr& qf_result) {
-  // Any column named "uri" identifies the file; F.uri and R.uri agree by the
-  // join condition, so the first one found works.
-  int uri_idx = -1;
-  for (size_t i = 0; i < qf_result->schema()->num_fields(); ++i) {
-    if (qf_result->schema()->field(i).name == "uri") {
-      uri_idx = static_cast<int>(i);
-      break;
-    }
-  }
-  if (uri_idx < 0) {
-    return Status::Internal(
-        "stage-1 result carries no 'uri' column; files of interest are "
-        "unidentifiable in schema " +
-        qf_result->schema()->ToString());
-  }
-  const Column& col = *qf_result->column(static_cast<size_t>(uri_idx));
+  DEX_ASSIGN_OR_RETURN(size_t uri_idx, FirstUriColumn(*qf_result->schema()));
+  const Column& col = *qf_result->column(uri_idx);
   std::vector<std::string> files;
   std::unordered_set<int32_t> seen_codes;
   for (size_t r = 0; r < qf_result->num_rows(); ++r) {
@@ -462,13 +448,18 @@ Result<std::vector<FileDecision>> TwoStageExecutor::DecideFiles(
       opts.pruning.file_level && zone_maps_ != nullptr &&
       ExtractBounds(d_predicate, "sample_value", &value_lo, &value_hi);
 
+  // A cache that cannot hit needs no mtime: Probe counts the miss before
+  // it looks at one.
+  const bool cache_can_hit =
+      cache_ != nullptr && cache_->options().policy != CachePolicy::kNone;
+
   std::vector<FileDecision> decisions;
   decisions.reserve(files.size());
   for (const std::string& uri : files) {
     FileDecision d;
     d.uri = uri;
     DEX_ASSIGN_OR_RETURN(FileRegistry::Entry entry, registry_->Get(uri));
-    const int64_t mtime = FileMtimeMillis(uri).ValueOr(entry.mtime_ms);
+    d.size_bytes = entry.size_bytes;
     if (value_bounded &&
         !zone_maps_->MayMatchValueRange(uri, value_lo, value_hi)) {
       d.action = FileDecision::Action::kSkip;
@@ -478,7 +469,10 @@ Result<std::vector<FileDecision>> TwoStageExecutor::DecideFiles(
                                      CacheGranularity::kTuple
                                  ? pred_repr
                                  : "",
-                             mtime, &query_window)) {
+                             cache_can_hit
+                                 ? FileMtimeMillis(uri).ValueOr(entry.mtime_ms)
+                                 : entry.mtime_ms,
+                             &query_window)) {
       d.action = FileDecision::Action::kCacheScan;
     } else {
       d.action = FileDecision::Action::kMount;
@@ -488,10 +482,10 @@ Result<std::vector<FileDecision>> TwoStageExecutor::DecideFiles(
   return decisions;
 }
 
-Result<PlanPtr> TwoStageExecutor::RewriteStage2Impl(
+Result<PlanPtr> TwoStageExecutor::RewriteStage2(
     const PlanPtr& split_plan, const std::string& qf_result_id,
     const std::vector<FileDecision>& decisions, PlanPtr* union_node_out,
-    Catalog* catalog, const TwoStageOptions& opts) {
+    const Catalog& catalog, const TwoStageOptions& opts) {
   // Builds the union replacing one actual-table scan. `pred` is the
   // selection that sat on the scan (may be null).
   auto build_union = [&](const std::string& table_name,
@@ -543,13 +537,13 @@ Result<PlanPtr> TwoStageExecutor::RewriteStage2Impl(
     // σ_p(scan(a)) and bare scan(a) both expand via rewrite rule (1).
     if (node->kind == PlanKind::kFilter &&
         node->children[0]->kind == PlanKind::kScan) {
-      auto kind = catalog->GetKind(node->children[0]->table_name);
+      auto kind = catalog.GetKind(node->children[0]->table_name);
       if (kind.ok() && *kind == TableKind::kActual) {
         return build_union(node->children[0]->table_name, node->predicate);
       }
     }
     if (node->kind == PlanKind::kScan) {
-      auto kind = catalog->GetKind(node->table_name);
+      auto kind = catalog.GetKind(node->table_name);
       if (kind.ok() && *kind == TableKind::kActual) {
         return build_union(node->table_name, nullptr);
       }
@@ -590,17 +584,6 @@ Result<PlanPtr> TwoStageExecutor::RewriteStage2Impl(
   return rewritten;
 }
 
-ThreadPool* TwoStageExecutor::Pool(size_t workers) {
-  // A shared pool serves every query at its real size; `workers` only drives
-  // the deterministic lane count in ListScheduleSimTimes, never the number
-  // of OS threads actually running tasks.
-  if (shared_pool_ != nullptr) return shared_pool_;
-  if (pool_ == nullptr || pool_->num_threads() != workers) {
-    pool_ = std::make_unique<ThreadPool>(workers);
-  }
-  return pool_.get();
-}
-
 Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
                                            const BreakpointCallback& callback,
                                            TwoStageStats* stats,
@@ -625,7 +608,7 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
   // Governed admission runs one-file windows, one after another.
   stats->workers = governed ? 1 : workers;
   Stage2Admission admission(mounter_, registry_, cache_,
-                            governed || workers <= 1 ? nullptr : Pool(workers),
+                            governed || workers <= 1 ? nullptr : pool_,
                             &qctx, &opts, stats, env.warnings, shards,
                             num_shards, workers, env.priority);
 
@@ -700,9 +683,10 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
     if (profiler != nullptr) profiler->AddRoot("stage 1 (Q_f)", split.qf);
     DEX_ASSIGN_OR_RETURN(files, FilesOfInterest(qf_result));
   } else {
-    // Without metadata restriction every available file is "relevant".
-    // (AllUris already excludes quarantined files.)
-    files = registry_->AllUris();
+    // Without metadata restriction every file of the query's epoch is
+    // "relevant": F's uris, in row (enumeration) order.
+    DEX_ASSIGN_OR_RETURN(TablePtr f_table, catalog->GetTable(kFileTableName));
+    DEX_ASSIGN_OR_RETURN(files, FilesOfInterest(f_table));
   }
   // Quarantined files can never be mounted; drop them from the files of
   // interest before planning so a permanently bad file is skipped for free
@@ -748,19 +732,17 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
   const ExprPtr d_predicate = FindActualScanPredicate(split.plan, *catalog);
   DEX_ASSIGN_OR_RETURN(std::vector<FileDecision> decisions,
                        DecideFiles(files, d_predicate, opts));
-  for (const FileDecision& d : decisions) {
-    switch (d.action) {
-      case FileDecision::Action::kMount:
-        ++stats->files_planned_mount;
-        break;
-      case FileDecision::Action::kCacheScan:
-        ++stats->files_planned_cache;
-        break;
-      case FileDecision::Action::kSkip:
-        ++stats->files_pruned;
-        break;
-    }
-  }
+  // Informativeness at the breakpoint: the decisions, counted once, and the
+  // records of the files they read, from Q_f or the query's own R.
+  DEX_ASSIGN_OR_RETURN(
+      stats->breakpoint,
+      EstimateInformativeness(qf_result, decisions, *catalog, d_predicate,
+                              opts.model));
+  stats->breakpoint_evaluated = true;
+  stats->files_planned_cache = stats->breakpoint.files_cached;
+  stats->files_pruned = stats->breakpoint.files_pruned;
+  stats->files_planned_mount =
+      decisions.size() - stats->files_planned_cache - stats->files_pruned;
   // Pin the cache entries the rewritten plan will scan: budget-pressure
   // eviction while the query runs must not invalidate branches of the very
   // plan being executed. Unpinned by `cleanup` on every return path.
@@ -772,29 +754,20 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
       }
     }
   }
-
-  // Informativeness at the breakpoint. The stage-1-harvested record-window
-  // index backs the estimate when Q_f carries no record-level columns.
-  // The file list goes only to the callbacks: stats keep its size
+  // The file list goes only to the callback: stats keep its size
   // (files_of_interest), not a copy of every URI per query.
-  DEX_ASSIGN_OR_RETURN(
-      BreakpointInfo breakpoint,
-      EstimateInformativeness(qf_result, files, *registry_, cache_, d_predicate,
-                              opts.model, info_index_));
-  breakpoint.files_pruned = stats->files_pruned;
-  stats->breakpoint_evaluated = true;
-  const BreakpointDecision decision =
-      callback != nullptr ? callback(breakpoint) : BreakpointDecision::kContinue;
-  stats->breakpoint = std::move(breakpoint);
-  stats->breakpoint.files_of_interest = {};
-  if (decision == BreakpointDecision::kAbort) {
-    return Status::Aborted("query aborted by the explorer at the breakpoint");
+  if (callback != nullptr) {
+    BreakpointInfo seen = stats->breakpoint;
+    seen.files_of_interest = files;
+    if (callback(seen) == BreakpointDecision::kAbort) {
+      return Status::Aborted("query aborted by the explorer at the breakpoint");
+    }
   }
 
   PlanPtr union_node;
   DEX_ASSIGN_OR_RETURN(PlanPtr stage2_plan,
-                       RewriteStage2Impl(split.plan, kQfResultId, decisions,
-                                         &union_node, catalog, opts));
+                       RewriteStage2(split.plan, kQfResultId, decisions,
+                                     &union_node, *catalog, opts));
 
   // Named results available to stage 2: Q_f's result, narrowed to the
   // columns stage 2 reads (stage 1's consumers above saw all of it).

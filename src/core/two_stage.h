@@ -2,7 +2,6 @@
 #define DEX_CORE_TWO_STAGE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,8 +17,6 @@
 #include "shard/sharded_repository.h"
 
 namespace dex {
-
-class InformativenessIndex;
 
 /// \brief Knobs for the run-time optimization phase between the two stages.
 struct TwoStageOptions {
@@ -86,13 +83,6 @@ struct TwoStageOptions {
   OnResourceExhausted on_resource_exhausted = OnResourceExhausted::kPartialResults;
 
   InformativenessModel model;
-};
-
-/// \brief What the run-time rewriter decided for each file of interest.
-struct FileDecision {
-  enum class Action { kMount, kCacheScan, kSkip };
-  std::string uri;
-  Action action = Action::kMount;
 };
 
 /// \brief Statistics of one two-stage execution. The admission fields
@@ -200,27 +190,21 @@ class TwoStageExecutor {
     Warnings* warnings = nullptr;
   };
 
-  /// `shared_pool`, when non-null, is used for stage-2 mount tasks instead
-  /// of a private per-executor pool — the serving layer passes one
-  /// database-wide pool so concurrent queries contend (and are prioritized)
-  /// on the same workers. The deterministic time model is unaffected: charged
-  /// time comes from list-scheduling task buckets onto
-  /// `TwoStageOptions::num_threads` lanes, not from the pool's real size.
+  /// `pool` runs stage-2 mount tasks: the database-wide pool, so concurrent
+  /// queries contend (and are prioritized) on the same workers. The
+  /// deterministic time model is unaffected: charged time comes from
+  /// list-scheduling task buckets onto `TwoStageOptions::num_threads` lanes,
+  /// not from the pool's real size.
   ///
   /// `zone_maps`, when non-null, backs file-level pruning
   /// (PruningOptions::file_level) with its complete files' record zones.
-  TwoStageExecutor(Catalog* catalog, FileRegistry* registry, CacheManager* cache,
-                   Mounter* mounter, const ZoneMapStore* zone_maps,
-                   TwoStageOptions options, ThreadPool* shared_pool = nullptr,
-                   const InformativenessIndex* info_index = nullptr)
-      : catalog_(catalog),
-        registry_(registry),
+  TwoStageExecutor(FileRegistry* registry, CacheManager* cache, Mounter* mounter,
+                   const ZoneMapStore* zone_maps, ThreadPool* pool)
+      : registry_(registry),
         cache_(cache),
         mounter_(mounter),
         zone_maps_(zone_maps),
-        info_index_(info_index),
-        options_(options),
-        shared_pool_(shared_pool) {}
+        pool_(pool) {}
 
   /// Runs `plan` (analyzed, predicates pushed down). `callback` may be null;
   /// when set it is invoked at the stage boundary (and, under multi-stage
@@ -246,51 +230,25 @@ class TwoStageExecutor {
                                          const Catalog& catalog);
 
   /// Applies rewrite rule (1): replaces the StageBreak with a result-scan of
-  /// `qf_result_id` and every actual-table scan with a union over per-file
-  /// access paths according to `decisions`. Exposed for tests and benches.
-  Result<PlanPtr> RewriteStage2(const PlanPtr& split_plan,
-                                const std::string& qf_result_id,
-                                const std::vector<FileDecision>& decisions,
-                                PlanPtr* union_node_out) {
-    return RewriteStage2Impl(split_plan, qf_result_id, decisions,
-                             union_node_out, catalog_, options_);
-  }
-
-  const TwoStageOptions& options() const { return options_; }
-
-  /// Runtime adjustment of the governance knobs (shell `.timeout` /
-  /// `.memlimit`). Safe between queries; not synchronized against a query
-  /// in flight.
-  TwoStageOptions* mutable_options() { return &options_; }
+  /// `qf_result_id` and every actual-table scan of `catalog` with a union
+  /// over per-file access paths according to `decisions`, shaped by `opts`.
+  static Result<PlanPtr> RewriteStage2(const PlanPtr& split_plan,
+                                       const std::string& qf_result_id,
+                                       const std::vector<FileDecision>& decisions,
+                                       PlanPtr* union_node_out,
+                                       const Catalog& catalog,
+                                       const TwoStageOptions& opts);
 
  private:
   Result<std::vector<FileDecision>> DecideFiles(
       const std::vector<std::string>& files, const ExprPtr& d_predicate,
       const TwoStageOptions& opts);
 
-  /// RewriteStage2 body, parameterized on the query's catalog and effective
-  /// options (the public wrapper passes the executor defaults).
-  Result<PlanPtr> RewriteStage2Impl(const PlanPtr& split_plan,
-                                    const std::string& qf_result_id,
-                                    const std::vector<FileDecision>& decisions,
-                                    PlanPtr* union_node_out, Catalog* catalog,
-                                    const TwoStageOptions& opts);
-
-  /// The shared database-wide pool when one was injected, else a private
-  /// cached pool (re)built to `workers` threads when needed.
-  ThreadPool* Pool(size_t workers);
-
-  Catalog* catalog_;
   FileRegistry* registry_;
   CacheManager* cache_;
   Mounter* mounter_;
   const ZoneMapStore* zone_maps_;  // may be null (zone maps disabled)
-  // Stage-1-harvested record windows backing the breakpoint estimate when
-  // Q_f carries no record-level columns (may be null: estimate degrades).
-  const InformativenessIndex* info_index_;
-  TwoStageOptions options_;
-  ThreadPool* shared_pool_;  // not owned; may be null
-  std::unique_ptr<ThreadPool> pool_;
+  ThreadPool* pool_;               // not owned
 };
 
 }  // namespace dex

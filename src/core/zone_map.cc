@@ -79,65 +79,55 @@ class SnapshotPruner : public mseed::RecordPruner {
 
 }  // namespace
 
-void ZoneMapStore::ScanStarted(const std::string& root) {
-  (void)root;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++pass_;
-}
-
-void ZoneMapStore::FileScanned(const mseed::FileMeta& file,
-                               const std::vector<mseed::RecordMeta>& records) {
-  (void)records;
-  size_t dropped_records = 0;
+void ZoneMapStore::Reconcile(const std::vector<mseed::FileMeta>& files) {
+  std::vector<std::string> stale;  // flight-event details, in `files` order
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = files_.find(file.uri);
-    if (it == files_.end()) {
-      FileZones& fz = files_[file.uri];
-      fz.size_bytes = file.size_bytes;
-      fz.mtime_ms = file.mtime_ms;
-      fz.expected_records = file.num_records;
-      fz.pass = pass_;
-      return;
-    }
-    FileZones& fz = it->second;
-    fz.pass = pass_;
-    if (fz.size_bytes != file.size_bytes || fz.mtime_ms != file.mtime_ms) {
-      // The file was rewritten since the zones were harvested: they describe
-      // bytes that no longer exist. Drop them (safety ladder step 1).
-      if (!fz.records.empty()) {
-        dropped_records = fz.records.size();
-        ++stale_dropped_;
-        dirty_ = true;
+    // Listed files move into `kept` (their nodes, not copies); whatever is
+    // left in files_ afterwards was not listed.
+    std::unordered_map<std::string, FileZones> kept;
+    kept.reserve(files.size());
+    for (const mseed::FileMeta& file : files) {
+      auto node = files_.extract(file.uri);
+      if (node.empty()) {
+        FileZones& fz = kept[file.uri];
+        fz.size_bytes = file.size_bytes;
+        fz.mtime_ms = file.mtime_ms;
+        fz.expected_records = file.num_records;
+        continue;
       }
-      fz.records.clear();
-      fz.size_bytes = file.size_bytes;
-      fz.mtime_ms = file.mtime_ms;
+      FileZones& fz = node.mapped();
+      if (fz.size_bytes != file.size_bytes || fz.mtime_ms != file.mtime_ms) {
+        // The file was rewritten since the zones were harvested: they
+        // describe bytes that no longer exist. Drop them (safety ladder
+        // step 1).
+        if (!fz.records.empty()) {
+          stale.push_back("'" + file.uri + "' rewritten; dropped " +
+                          std::to_string(fz.records.size()) + " record zones");
+          ++stale_dropped_;
+          dirty_ = true;
+        }
+        fz.records.clear();
+        fz.size_bytes = file.size_bytes;
+        fz.mtime_ms = file.mtime_ms;
+      }
+      fz.expected_records = file.num_records;
+      kept.insert(std::move(node));
     }
-    fz.expected_records = file.num_records;
+    // Forgetting a file's zones changes what the next save writes.
+    for (const FileEntry& left : files_) {
+      if (!left.second.records.empty()) dirty_ = true;
+    }
+    files_ = std::move(kept);
   }
-  if (dropped_records > 0) {
-    // Flight-record the drop outside mu_: scan delivery is single-threaded
-    // and in enumeration order, so the event stream stays deterministic.
+  // Flight-record the drops outside mu_, in the order of `files`, so the
+  // event stream is deterministic.
+  for (std::string& detail : stale) {
     obs::FlightEvent e;
     e.kind = "zonemap_stale";
-    e.detail = "'" + file.uri + "' rewritten; dropped " +
-               std::to_string(dropped_records) + " record zones";
+    e.detail = std::move(detail);
     obs::FlightRecorder::Global().Record(std::move(e));
   }
-}
-
-Status ZoneMapStore::ScanFinished() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = files_.begin(); it != files_.end();) {
-    if (it->second.pass == pass_) {
-      ++it;
-      continue;
-    }
-    if (!it->second.records.empty()) dirty_ = true;
-    it = files_.erase(it);
-  }
-  return Status::OK();
 }
 
 void ZoneMapStore::RecordMounted(

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/stats_collector.h"
 #include "mseed/reader.h"
+#include "mseed/scanner.h"
 #include "mseed/steim.h"
 #include "storage/table.h"
 
@@ -48,10 +48,10 @@ RecordValueStats RecordValues(const mseed::DecodedRecord& rec);
 ///
 /// ## Safety ladder
 /// A zone map is a hint validated against the stage-1 scan:
-///  1. FileScanned drops a file's zones when its size/mtime identity
-///     changed (stale after rewrite), and ScanFinished drops the files the
-///     pass did not deliver (removed) — at Open and at every Refresh, so
-///     every reader above sees the same staleness rule.
+///  1. Reconcile drops a file's zones when its size/mtime identity changed
+///     (stale after rewrite) and forgets the files the scan did not list
+///     (removed) — at Open and at every Refresh, so every reader above sees
+///     the same staleness rule.
 ///  2. Persisted zone maps carry an FNV-1a checksum; any corruption or
 ///     format violation discards the whole persisted set (counted, logged).
 ///  3. Even a wrong-but-plausible frame zone is caught at decode time: the
@@ -60,11 +60,11 @@ RecordValueStats RecordValues(const mseed::DecodedRecord& rec);
 /// A file rewritten after the last scan is not detected until the next
 /// Refresh — the same window in which its F/R rows are stale.
 ///
-/// Thread-safe: stage-1 events arrive from the scan coordinator, record
-/// zones from concurrent mount tasks, pruners and DM builds from concurrent
-/// query sessions. One mutex guards everything; MakePruner snapshots
-/// (copies) the file's zones so a pruner never races later updates.
-class ZoneMapStore : public StatsCollector {
+/// Thread-safe: reconciles come from Open and Refresh, record zones from
+/// concurrent mount tasks, pruners and DM builds from concurrent query
+/// sessions. One mutex guards everything; MakePruner snapshots (copies) the
+/// file's zones so a pruner never races later updates.
+class ZoneMapStore {
  public:
   /// Value zone of one record, plus its per-frame stats when the record's
   /// payload was Steim1 and the decode harvested them.
@@ -84,14 +84,14 @@ class ZoneMapStore : public StatsCollector {
 
   ZoneMapStore() = default;
 
-  // StatsCollector ------------------------------------------------------
-  std::string name() const override { return "zonemap"; }
-  void ScanStarted(const std::string& root) override;
-  void FileScanned(const mseed::FileMeta& file,
-                   const std::vector<mseed::RecordMeta>& records) override;
-  /// Forgets every file the pass did not deliver: it left the catalog, so
-  /// its zones (and DM rows) go too.
-  Status ScanFinished() override;
+  // Stage 1 -------------------------------------------------------------
+
+  /// Aligns the store with a successful stage-1 scan's `files` (the F rows
+  /// about to be published, in order): a file whose size/mtime identity
+  /// changed loses its zones, every listed file takes its identity and
+  /// record count, and a file not listed left the catalog, so its zones
+  /// (and DM rows) go too.
+  void Reconcile(const std::vector<mseed::FileMeta>& files);
 
   // Harvest -------------------------------------------------------------
 
@@ -163,7 +163,6 @@ class ZoneMapStore : public StatsCollector {
     uint64_t size_bytes = 0;  // identity at harvest time
     int64_t mtime_ms = 0;
     uint32_t expected_records = 0;
-    uint64_t pass = 0;  // the last stage-1 pass that delivered the file
     std::map<int64_t, RecordZone> records;  // ordered for determinism
 
     bool complete() const {
@@ -178,7 +177,6 @@ class ZoneMapStore : public StatsCollector {
   mutable std::mutex mu_;
   std::unordered_map<std::string, FileZones> files_;
   bool dirty_ = false;
-  uint64_t pass_ = 0;  // stage-1 passes started
   uint64_t persisted_loads_ = 0;
   uint64_t stale_dropped_ = 0;
   uint64_t corrupt_discarded_ = 0;

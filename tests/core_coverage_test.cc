@@ -147,6 +147,59 @@ TEST_F(CoverageTest, RerunReplacesTables) {
   EXPECT_EQ(r->table->GetValue(0, 0).int64(), 1);
 }
 
+// Coverage derives from the epoch's F and R: after a Refresh that adds one
+// file and removes another it equals what a fresh Open derives.
+TEST_F(CoverageTest, RefreshMatchesAFreshOpen) {
+  ASSERT_TRUE(mseed::WriteFile(dir_ + "/isk.mseed",
+                               {Rec("ISK", "BHE", 0, 10),
+                                Rec("ISK", "BHE", 60000, 10)})
+                  .ok());
+  ASSERT_TRUE(mseed::WriteFile(dir_ + "/ank.mseed",
+                               {Rec("ANK", "BHE", 0, 100),
+                                Rec("ANK", "BHE", 50000, 100)})
+                  .ok());
+  auto db = OpenRepo();
+  ASSERT_NE(db, nullptr);
+  auto before = db->AnalyzeCoverage();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->overlaps, 1u);
+
+  // A second ISK/BHE day with a gap before it arrives; ANK's file goes.
+  ASSERT_TRUE(mseed::WriteFile(dir_ + "/isk2.mseed",
+                               {Rec("ISK", "BHE", 200000, 10),
+                                Rec("ISK", "BHE", 210000, 10)})
+                  .ok());
+  ASSERT_TRUE(RemoveDirRecursive(dir_ + "/ank.mseed").ok());
+  auto refreshed = db->Refresh();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  ASSERT_EQ(refreshed->files_added, 1u);
+  ASSERT_EQ(refreshed->files_removed, 1u);
+  auto after = db->AnalyzeCoverage();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+
+  auto fresh = OpenRepo();
+  ASSERT_NE(fresh, nullptr);
+  auto expected = fresh->AnalyzeCoverage();
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(expected->streams, 1u);
+  EXPECT_EQ(expected->gaps, 2u);
+  EXPECT_EQ(expected->overlaps, 0u);
+  EXPECT_EQ(after->streams, expected->streams);
+  EXPECT_EQ(after->gaps, expected->gaps);
+  EXPECT_EQ(after->overlaps, expected->overlaps);
+  EXPECT_EQ(after->total_gap_ms, expected->total_gap_ms);
+  EXPECT_EQ(after->total_overlap_ms, expected->total_overlap_ms);
+  for (const char* table : {"GAPS", "OVERLAPS"}) {
+    const std::string sql = std::string("SELECT * FROM ") + table;
+    auto got = db->Query(sql);
+    auto want = fresh->Query(sql);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(got->table->ToString(1u << 20), want->table->ToString(1u << 20))
+        << table;
+  }
+}
+
 TEST_F(CoverageTest, GeneratorGapsAreFound) {
   ScopedRepo repo("coverage_generated", [] {
     auto gen = TinyRepoOptions();

@@ -128,7 +128,7 @@ std::string ZoneMapImage(const std::string& path) {
   file.size_bytes = 4096;
   file.mtime_ms = 1723180800000;
   file.num_records = 2;
-  store.FileScanned(file, {});
+  store.Reconcile({file});
   const std::vector<mseed::Steim1::FrameStat> frames = {{0, 7, -3, 12, 0},
                                                         {7, 5, -9, 4, 12}};
   store.RecordMounted(kSourceUri, 0, {-9, 12, 21.5, 12}, &frames, 2);

@@ -503,6 +503,62 @@ TEST(RefreshTest, QueryAgainstPinnedEpochSeesPreRefreshRows) {
   EXPECT_EQ(new_count->stats.epoch, epoch_before + 1);
 }
 
+// A query reading no metadata takes its files from its pinned epoch's F,
+// exactly like an F JOIN D query: a file a later Refresh adds is invisible.
+TEST(RefreshTest, DataOnlyQueryReadsItsPinnedEpoch) {
+  ScopedRepo repo("refresh_data_only_pin", TinyRepoOptions());
+  auto db = Database::Open(repo.root(), {});
+  ASSERT_TRUE(db.ok());
+  EpochPtr pinned = (*db)->PinEpoch();
+  ASSERT_TRUE(mseed::WriteFile(repo.root() + "/NEW/OR.NEW.BHE.000.mseed",
+                               {NewRecord("NEWSTA", 1262304000000LL, 50)})
+                  .ok());
+  auto refreshed = (*db)->Refresh();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  ASSERT_EQ(refreshed->files_added, 1u);
+
+  auto data_only = (*db)->Query("SELECT COUNT(*) FROM D", {}, pinned);
+  ASSERT_TRUE(data_only.ok()) << data_only.status().ToString();
+  auto joined = (*db)->Query("SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri",
+                             {}, pinned);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(joined->table->GetValue(0, 0).int64(), 6912);
+  EXPECT_EQ(data_only->table->GetValue(0, 0).int64(),
+            joined->table->GetValue(0, 0).int64());
+  EXPECT_EQ(data_only->stats.two_stage.files_of_interest, 8u);
+}
+
+// After a file is removed and a Refresh drops it from F, a query reading no
+// metadata never tries to mount it: no failure, no warning, no quarantine,
+// and the same count as a database opened fresh on the shrunken repository.
+TEST(RefreshTest, DataOnlyQueryMountsNoRemovedFile) {
+  ScopedRepo repo("refresh_data_only_removed", TinyRepoOptions());
+  auto db = Database::Open(repo.root(), {});
+  ASSERT_TRUE(db.ok());
+  auto files = ListFiles(repo.root(), ".mseed");
+  ASSERT_TRUE(files.ok());
+  ASSERT_TRUE(RemoveDirRecursive((*files)[0]).ok());
+  auto refreshed = (*db)->Refresh();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  ASSERT_EQ(refreshed->files_removed, 1u);
+
+  auto r = (*db)->Query("SELECT COUNT(*) FROM D");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->stats.warnings_raised(), 0u) << r->stats.RenderWarnings("");
+  EXPECT_EQ(r->stats.mount.files_failed, 0u);
+  auto quarantined = (*db)->Query("SELECT COUNT(*) FROM QUARANTINE");
+  ASSERT_TRUE(quarantined.ok()) << quarantined.status().ToString();
+  EXPECT_EQ(quarantined->table->GetValue(0, 0).int64(), 0);
+
+  auto fresh = Database::Open(repo.root(), {});
+  ASSERT_TRUE(fresh.ok());
+  auto expected = (*fresh)->Query("SELECT COUNT(*) FROM D");
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(expected->table->GetValue(0, 0).int64(), 6048);
+  EXPECT_EQ(r->table->GetValue(0, 0).int64(),
+            expected->table->GetValue(0, 0).int64());
+}
+
 TEST(RefreshTest, SupersededEpochRetiresWhenLastPinDrops) {
   ScopedRepo repo("refresh_epoch_retire", TinyRepoOptions());
   auto db = Database::Open(repo.root(), {});

@@ -18,13 +18,7 @@ namespace {
 
 class RewriteTest : public ::testing::Test {
  protected:
-  RewriteTest()
-      : disk_(),
-        catalog_(&disk_),
-        registry_(&disk_),
-        cache_(CacheManager::Options{CachePolicy::kAll,
-                                     CacheGranularity::kFile, 1 << 30}),
-        mounter_(&registry_, &cache_, nullptr, &format_) {
+  RewriteTest() : disk_(), catalog_(&disk_) {
     EXPECT_TRUE(catalog_
                     .AddTable(std::make_shared<Table>("F", MakeFileSchema()),
                               TableKind::kMetadata)
@@ -37,11 +31,6 @@ class RewriteTest : public ::testing::Test {
                     .AddTable(std::make_shared<Table>("D", MakeDataSchema()),
                               TableKind::kActual)
                     .ok());
-  }
-
-  TwoStageExecutor MakeExecutor(TwoStageOptions options = {}) {
-    return TwoStageExecutor(&catalog_, &registry_, &cache_, &mounter_, nullptr,
-                            options);
   }
 
   PlanPtr SplitQuery(const std::string& sql) {
@@ -70,10 +59,6 @@ class RewriteTest : public ::testing::Test {
 
   SimDisk disk_;
   Catalog catalog_;
-  FileRegistry registry_;
-  CacheManager cache_;
-  MseedAdapter format_;
-  Mounter mounter_;
 };
 
 const char* kMixedQuery =
@@ -82,10 +67,10 @@ const char* kMixedQuery =
     "WHERE F.station = 'ISK' AND D.sample_time > 100";
 
 TEST_F(RewriteTest, StageBreakBecomesResultScan) {
-  auto exec = MakeExecutor();
   const PlanPtr split = SplitQuery(kMixedQuery);
-  auto rewritten = exec.RewriteStage2(
-      split, "__qf", {{"u1", FileDecision::Action::kMount}}, nullptr);
+  auto rewritten = TwoStageExecutor::RewriteStage2(
+      split, "__qf", {{"u1", FileDecision::Action::kMount}}, nullptr, catalog_,
+      TwoStageOptions{});
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
   EXPECT_EQ(CountKind(*rewritten, PlanKind::kStageBreak), 0);
   const PlanPtr rs = FindKind(*rewritten, PlanKind::kResultScan);
@@ -94,13 +79,12 @@ TEST_F(RewriteTest, StageBreakBecomesResultScan) {
 }
 
 TEST_F(RewriteTest, MountBranchesCarryFusedSelection) {
-  auto exec = MakeExecutor();
   const PlanPtr split = SplitQuery(kMixedQuery);
-  auto rewritten = exec.RewriteStage2(
+  auto rewritten = TwoStageExecutor::RewriteStage2(
       split, "__qf",
       {{"u1", FileDecision::Action::kMount},
        {"u2", FileDecision::Action::kMount}},
-      nullptr);
+      nullptr, catalog_, TwoStageOptions{});
   ASSERT_TRUE(rewritten.ok());
   const PlanPtr union_node = FindKind(*rewritten, PlanKind::kUnion);
   ASSERT_NE(union_node, nullptr);
@@ -113,13 +97,12 @@ TEST_F(RewriteTest, MountBranchesCarryFusedSelection) {
 }
 
 TEST_F(RewriteTest, CacheScanBranchesWrapSelectionInFilter) {
-  auto exec = MakeExecutor();
   const PlanPtr split = SplitQuery(kMixedQuery);
-  auto rewritten = exec.RewriteStage2(
+  auto rewritten = TwoStageExecutor::RewriteStage2(
       split, "__qf",
       {{"u1", FileDecision::Action::kCacheScan},
        {"u2", FileDecision::Action::kMount}},
-      nullptr);
+      nullptr, catalog_, TwoStageOptions{});
   ASSERT_TRUE(rewritten.ok());
   const PlanPtr union_node = FindKind(*rewritten, PlanKind::kUnion);
   ASSERT_NE(union_node, nullptr);
@@ -129,14 +112,13 @@ TEST_F(RewriteTest, CacheScanBranchesWrapSelectionInFilter) {
 }
 
 TEST_F(RewriteTest, SkippedFilesProduceNoBranches) {
-  auto exec = MakeExecutor();
   const PlanPtr split = SplitQuery(kMixedQuery);
-  auto rewritten = exec.RewriteStage2(
+  auto rewritten = TwoStageExecutor::RewriteStage2(
       split, "__qf",
       {{"u1", FileDecision::Action::kSkip},
        {"u2", FileDecision::Action::kMount},
        {"u3", FileDecision::Action::kSkip}},
-      nullptr);
+      nullptr, catalog_, TwoStageOptions{});
   ASSERT_TRUE(rewritten.ok());
   const PlanPtr union_node = FindKind(*rewritten, PlanKind::kUnion);
   ASSERT_NE(union_node, nullptr);
@@ -144,9 +126,9 @@ TEST_F(RewriteTest, SkippedFilesProduceNoBranches) {
 }
 
 TEST_F(RewriteTest, ZeroFilesBecomesEmptyResultScan) {
-  auto exec = MakeExecutor();
   const PlanPtr split = SplitQuery(kMixedQuery);
-  auto rewritten = exec.RewriteStage2(split, "__qf", {}, nullptr);
+  auto rewritten = TwoStageExecutor::RewriteStage2(split, "__qf", {}, nullptr,
+                                                   catalog_, TwoStageOptions{});
   ASSERT_TRUE(rewritten.ok());
   EXPECT_EQ(CountKind(*rewritten, PlanKind::kUnion), 0);
   EXPECT_EQ(CountKind(*rewritten, PlanKind::kMount), 0);
@@ -157,10 +139,10 @@ TEST_F(RewriteTest, ZeroFilesBecomesEmptyResultScan) {
 TEST_F(RewriteTest, NoPushdownLeavesFilterAboveUnion) {
   TwoStageOptions options;
   options.push_selection_into_union = false;
-  auto exec = MakeExecutor(options);
   const PlanPtr split = SplitQuery(kMixedQuery);
-  auto rewritten = exec.RewriteStage2(
-      split, "__qf", {{"u1", FileDecision::Action::kMount}}, nullptr);
+  auto rewritten = TwoStageExecutor::RewriteStage2(
+      split, "__qf", {{"u1", FileDecision::Action::kMount}}, nullptr, catalog_,
+      options);
   ASSERT_TRUE(rewritten.ok());
   const PlanPtr union_node = FindKind(*rewritten, PlanKind::kUnion);
   ASSERT_NE(union_node, nullptr);
@@ -176,13 +158,12 @@ TEST_F(RewriteTest, NoPushdownLeavesFilterAboveUnion) {
 TEST_F(RewriteTest, StrategyBDistributesJoin) {
   TwoStageOptions options;
   options.distribute_join_over_union = true;
-  auto exec = MakeExecutor(options);
   const PlanPtr split = SplitQuery(kMixedQuery);
-  auto rewritten = exec.RewriteStage2(
+  auto rewritten = TwoStageExecutor::RewriteStage2(
       split, "__qf",
       {{"u1", FileDecision::Action::kMount},
        {"u2", FileDecision::Action::kMount}},
-      nullptr);
+      nullptr, catalog_, options);
   ASSERT_TRUE(rewritten.ok());
   // The union now sits ABOVE per-file joins: Union(Join(Mount, RS), ...).
   const PlanPtr union_node = FindKind(*rewritten, PlanKind::kUnion);

@@ -172,6 +172,82 @@ TEST_F(TwoStageBehavior, BreakpointCallbackSeesInformativeness) {
   EXPECT_GT(seen.est_stage2_seconds, 0.0);
 }
 
+// F JOIN D gives Q_f no n_samples, so the estimate reads R — the R of the
+// query's own epoch: a Refresh that removes a file does not change what a
+// query pinned before it expects to ingest.
+TEST_F(TwoStageBehavior, FallbackEstimateReadsThePinnedEpoch) {
+  ScopedRepo repo("two_stage_fallback_pin", TinyRepoOptions());
+  auto db = Database::Open(repo.root(), {});
+  ASSERT_TRUE(db.ok());
+  EpochPtr pinned = (*db)->PinEpoch();
+  auto samples = (*db)->Query("SELECT SUM(R.n_samples) FROM R", {}, pinned);
+  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+  const int64_t epoch_samples = samples->table->GetValue(0, 0).int64();
+  EXPECT_EQ(epoch_samples, 6912);
+
+  const std::string sql = "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri";
+  auto before = (*db)->Query(sql, {}, pinned);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->stats.two_stage.breakpoint.est_rows_to_ingest,
+            static_cast<uint64_t>(epoch_samples));
+
+  auto files = ListFiles(repo.root(), ".mseed");
+  ASSERT_TRUE(files.ok());
+  ASSERT_TRUE(RemoveDirRecursive((*files)[0]).ok());
+  auto refreshed = (*db)->Refresh();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  ASSERT_EQ(refreshed->files_removed, 1u);
+
+  auto after = (*db)->Query(sql, {}, pinned);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->stats.two_stage.breakpoint.est_rows_to_ingest,
+            static_cast<uint64_t>(epoch_samples));
+}
+
+// The breakpoint reports what the rewrite decided: pruned files read no
+// bytes and no records, and only planned mounts count toward the bytes.
+TEST_F(TwoStageBehavior, BreakpointReportsTheRewriteDecisions) {
+  DatabaseOptions opts;
+  opts.two_stage.pruning.file_level = true;
+  auto db = Database::Open(repo_->root(), opts);
+  ASSERT_TRUE(db.ok());
+  // Harvest pass: every file mounts fully, so its zones are complete.
+  auto harvest = (*db)->Query("SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri");
+  ASSERT_TRUE(harvest.ok()) << harvest.status().ToString();
+  // No value reaches the bound: the zones prune all eight files.
+  auto pruned = (*db)->Query(
+      "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri "
+      "WHERE D.sample_value > 1000000000000");
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  const BreakpointInfo& none = pruned->stats.two_stage.breakpoint;
+  EXPECT_EQ(pruned->stats.two_stage.files_pruned, 8u);
+  EXPECT_EQ(none.files_pruned, 8u);
+  EXPECT_EQ(none.bytes_to_mount, 0u);
+  EXPECT_EQ(none.est_rows_to_ingest, 0u);
+  EXPECT_EQ(none.est_stage2_seconds, 0.0);
+
+  // With one station's four files in a warm LRU cache, the other four are
+  // the planned mounts.
+  opts.cache.policy = CachePolicy::kLru;
+  auto cached_db = Database::Open(repo_->root(), opts);
+  ASSERT_TRUE(cached_db.ok());
+  auto warm = (*cached_db)->Query(
+      "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri WHERE F.station = 'ISK'");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  auto sizes = (*cached_db)->Query(
+      "SELECT SUM(F.size_bytes) FROM F WHERE F.station <> 'ISK'");
+  ASSERT_TRUE(sizes.ok()) << sizes.status().ToString();
+  auto mixed =
+      (*cached_db)->Query("SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  const TwoStageStats& ts = mixed->stats.two_stage;
+  EXPECT_EQ(ts.files_planned_cache, 4u);
+  EXPECT_EQ(ts.files_planned_mount, 4u);
+  EXPECT_EQ(ts.breakpoint.files_cached, ts.files_planned_cache);
+  EXPECT_EQ(ts.breakpoint.bytes_to_mount,
+            static_cast<uint64_t>(sizes->table->GetValue(0, 0).int64()));
+}
+
 TEST_F(TwoStageBehavior, AbortAtBreakpointStopsBeforeIngestion) {
   auto db = Database::Open(repo_->root(), {});
   ASSERT_TRUE(db.ok());
